@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import sympy
 
 from . import linalg
 from .linalg import DEFAULT_PRIME
@@ -135,12 +136,20 @@ def _validate_relation(quiver: Quiver, rel: Relation) -> dict:
     return elem
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime small enough for exact int64
+    products ((p-1)**2 < 2**63)."""
+    if not sympy.isprime(p):
+        raise ValueError(f"field modulus {p} is not a prime")
+    if (p - 1) ** 2 >= linalg.INT64_LIMIT:
+        raise ValueError(f"field modulus {p} is too large: (p-1)**2 >= 2**63")
+
+
 class Algebra:
     """A bound quiver algebra over F_p with an explicit reduced path basis."""
 
     def __init__(self, quiver: Quiver, relations, p: int = DEFAULT_PRIME):
-        if p < 2:
-            raise ValueError("field modulus must be a prime >= 2")
+        check_modulus(p)
         self.quiver = quiver
         self.relations = list(relations)
         self.p = p

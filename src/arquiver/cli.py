@@ -32,6 +32,7 @@ from .arseq import (
 )
 from .homological import SES, dtr, dtr_data, ext1, inj, transpose, trd
 from .knit import enumerate_indec
+from .linalg import ModulusTooLarge
 from .rep import (
     PrimeTooSmall,
     decompose,
@@ -425,7 +426,7 @@ def run(argv=None) -> int:
     out = _Output(getattr(args, "out", None))
     try:
         code = _dispatch(args, out)
-    except (CapExceeded, PrimeTooSmall) as exc:
+    except (CapExceeded, PrimeTooSmall, ModulusTooLarge) as exc:
         out.say(f"guard: {exc}")
         code = EXIT_GUARD
     except (fileio.ParseError, FileNotFoundError, KeyError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Quiver, Relation
+from .algebra import Algebra, Quiver, Relation, check_modulus
 from .rep import Rep, RepMap
 
 
@@ -66,6 +66,10 @@ def parse_algebra(text: str, prime: int | None = None) -> Algebra:
     p = int(lines[0].split()[1])
     if prime is not None:
         p = prime
+    try:
+        check_modulus(p)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     if len(lines) < 2 or not lines[1].startswith("vertices "):
         raise ParseError("second line must be 'vertices <n>'")
     n = int(lines[1].split()[1])

@@ -57,7 +57,8 @@ def enumerate_indec(
                 table.truncated = True
             continue
         if table.find(s) is None:
-            assert is_indecomposable(s)
+            if not is_indecomposable(s):
+                raise RuntimeError("knitting seed is decomposable")
             table.members.append(s)
             frontier.append(len(table.members) - 1)
     while frontier:
@@ -72,7 +73,8 @@ def enumerate_indec(
                 continue
             j = table.find(t)
             if j is None:
-                assert is_indecomposable(t)
+                if not is_indecomposable(t):
+                    raise RuntimeError("translate of an indecomposable is decomposable")
                 table.members.append(t)
                 j = len(table.members) - 1
                 nxt.append(j)

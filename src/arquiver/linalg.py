@@ -35,14 +35,27 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product mod p.
+INT64_LIMIT = 2**63
 
-    Safe in int64: entries are < p <= 32003, so each accumulated sum stays
-    far below 2**63 for any desk-scale inner dimension.
+
+class ModulusTooLarge(OverflowError):
+    """An int64 product over F_p could overflow: inner dim * (p-1)**2 >= 2**63."""
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product mod p; stacks of matrices multiply as in numpy.
+
+    Entries are reduced into [0, p), so each accumulated sum is at most
+    inner * (p-1)**2; a product that could reach 2**63 raises instead of
+    wrapping around in int64.
     """
-    if a.shape[1] != b.shape[0]:
+    inner = a.shape[-1]
+    if inner != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
+    if inner * (p - 1) * (p - 1) >= INT64_LIMIT:
+        raise ModulusTooLarge(
+            f"inner dimension {inner} at p={p} can overflow int64"
+        )
     return (a @ b) % p
 
 

@@ -19,11 +19,6 @@ def degree(f: list[int]) -> int:
     return len(f) - 1
 
 
-def padd(f, g, p):
-    n = max(len(f), len(g))
-    return trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p for i in range(n)])
-
-
 def psub(f, g, p):
     n = max(len(f), len(g))
     return trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p for i in range(n)])

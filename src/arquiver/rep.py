@@ -525,8 +525,10 @@ def factor_through_right(g: RepMap, h: RepMap):
 class EndAlgebra:
     """End(M) with structure constants, trace-form radical and quotient data.
 
-    The radical is the radical of the regular trace form tr(L_{xy}); this
-    identifies rad End(M) whenever p > dim End(M) (guarded by callers).
+    struct[i, j] holds the coordinates of basis[i] . basis[j], filled with
+    one batched pass per basis element.  The radical is the radical of the
+    regular trace form tr(L_{xy}); this identifies rad End(M) whenever
+    p > dim End(M) (guarded by callers).
     """
 
     def __init__(self, m: Rep):
@@ -539,22 +541,10 @@ class EndAlgebra:
         self._hs = hs
         p = self.p
         e = self.dim
-        struct = np.zeros((e, e, e), dtype=np.int64)
-        for i in range(e):
-            for j in range(e):
-                c = hs.coords(self.basis[i].compose(self.basis[j]))
-                struct[i, j] = c
-        self.struct = struct
-        tr_l = np.array(
-            [int(struct[mm, :, :].diagonal().sum() % p) for mm in range(e)],
-            dtype=np.int64,
-        )
-        gram = linalg.zeros(e, e)
-        for i in range(e):
-            for j in range(e):
-                gram[i, j] = int((struct[i, j] * tr_l).sum() % p)
-        self.gram = gram
-        self.radical_coords = linalg.kernel_basis(gram, p)
+        self.struct = self._structure_constants()
+        tr_l = np.trace(self.struct, axis1=1, axis2=2) % p
+        self.gram = matmul(self.struct, tr_l, p)
+        self.radical_coords = linalg.kernel_basis(self.gram, p)
         self.radical_dim = self.radical_coords.shape[1]
         # complement coordinates: non-pivot indices of the radical row space
         if self.radical_dim:
@@ -565,6 +555,38 @@ class EndAlgebra:
         self.quotient_indices = [
             i for i in range(e) if i not in self._rad_pivots
         ]
+
+    def _structure_constants(self) -> np.ndarray:
+        """struct[i] = coordinates of basis[i] . basis[j] for all j at once.
+
+        Per vertex, the basis blocks are stacked into an (e, d, d) array, so
+        one batched product gives every basis[i] . basis[j]; the flattened
+        products are solved against the cached row selection of the Hom
+        basis and checked to lie in its span, as coords does.
+        """
+        p = self.p
+        e = self.dim
+        struct = np.zeros((e, e, e), dtype=np.int64)
+        if not e:
+            return struct
+        rows, binv = self._hs._solver()
+        stacks = [
+            np.stack([b.blocks[v] for b in self.basis])
+            for v in range(len(self.module.dims))
+        ]
+        for i, b in enumerate(self.basis):
+            prods = np.concatenate(
+                [
+                    matmul(blk, stack, p).reshape(e, -1)
+                    for blk, stack in zip(b.blocks, stacks)
+                ],
+                axis=1,
+            )
+            c = matmul(prods[:, rows], binv.T, p)
+            if not np.array_equal(matmul(c, self._flat.T, p), prods):
+                raise ValueError("map is not an endomorphism coordinate")
+            struct[i] = c
+        return struct
 
     def coords(self, f: RepMap) -> np.ndarray:
         c = self._hs.coords(f)
@@ -580,11 +602,11 @@ class EndAlgebra:
 
     def multiply_coords(self, x, y) -> np.ndarray:
         p = self.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(np.asarray(x) % p)[0]:
-            for j in np.nonzero(np.asarray(y) % p)[0]:
-                out = (out + int(x[i]) * int(y[j]) * self.struct[i, j]) % p
-        return out
+        e = self.dim
+        x = np.asarray(x, dtype=np.int64) % p
+        y = np.asarray(y, dtype=np.int64) % p
+        left = matmul(x, self.struct.reshape(e, e * e), p).reshape(e, e)
+        return matmul(y, left, p)
 
     def reduce_mod_radical(self, coords) -> np.ndarray:
         v = np.asarray(coords, dtype=np.int64) % self.p
@@ -600,12 +622,6 @@ class EndAlgebra:
         v = self.reduce_mod_radical(coords)
         return v[self.quotient_indices]
 
-    def quotient_lift(self, qcoords) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        for qi, i in enumerate(self.quotient_indices):
-            v[i] = int(qcoords[qi]) % self.p
-        return v
-
     @property
     def quotient_dim(self) -> int:
         return len(self.quotient_indices)
@@ -613,14 +629,7 @@ class EndAlgebra:
     def quotient_commutative(self) -> bool:
         for i in self.quotient_indices:
             for j in self.quotient_indices:
-                if j <= i:
-                    continue
-                x = np.zeros(self.dim, dtype=np.int64)
-                x[i] = 1
-                y = np.zeros(self.dim, dtype=np.int64)
-                y[j] = 1
-                comm = (self.multiply_coords(x, y) - self.multiply_coords(y, x)) % self.p
-                if not self.in_radical(comm):
+                if j > i and not self.in_radical(self.struct[i, j] - self.struct[j, i]):
                     return False
         return True
 
@@ -644,7 +653,8 @@ class EndAlgebra:
 
 
 def end_algebra(m: Rep) -> EndAlgebra:
-    """End(M), memoized on the module (structure constants are expensive)."""
+    """End(M), memoized on the module: the Hom(M, M) basis and the e**3
+    structure constants are the bulk of every indecomposability check."""
     e = getattr(m, "_end_cache", None)
     if e is None:
         e = EndAlgebra(m)

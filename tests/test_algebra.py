@@ -133,3 +133,10 @@ def test_relation_coefficients_mod_p():
 
 def test_dim_preserved_under_opposite_with_relations(alg_loop):
     assert alg_loop.opposite().dim == 2
+
+
+@pytest.mark.parametrize("p", [32004, 1, 0, 4294967311])
+def test_modulus_must_be_a_prime_with_exact_int64_products(p):
+    # 32004 is composite; 4294967311 is prime but (p - 1)**2 > 2**63
+    with pytest.raises(ValueError):
+        Algebra(Quiver(2, [("a", 1, 2)]), [], p=p)

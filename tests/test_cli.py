@@ -239,3 +239,28 @@ def test_accept_runs_all(capsys):
     text = capsys.readouterr().out
     assert text.count("criterion") == 8
     assert "overall [PASS] 8/8" in text
+
+
+def test_composite_field_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "bad.alg").write_text("field 32004\nvertices 2\narrow a 1 2\n")
+    (tmp_path / "s1.mod").write_text("module S1\ndim 1 0\nmap a 0 1\n")
+    code = run(
+        ["dtr", "--algebra", str(tmp_path / "bad.alg"), "--module", str(tmp_path / "s1.mod")]
+    )
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.strip() == "usage error: field modulus 32004 is not a prime"
+
+
+def test_product_beyond_int64_is_a_guard(tmp_path, capsys):
+    # 3037000493 is prime with (p - 1)**2 < 2**63, but a 2-term product may wrap
+    alg = corpus.kronecker(3037000493)
+    fileio.write_algebra(alg, str(tmp_path / "big.alg"))
+    (tmp_path / "p2.mod").write_text(
+        "module P2\ndim 2 3\nmap a 3 2\n1 0\n0 1\n0 0\nmap b 3 2\n0 0\n1 0\n0 1\n"
+    )
+    code = run(
+        ["dtr", "--algebra", str(tmp_path / "big.alg"), "--module", str(tmp_path / "p2.mod")]
+    )
+    assert code == 3
+    assert "guard: inner dimension" in capsys.readouterr().out

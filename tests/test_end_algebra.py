@@ -1,0 +1,173 @@
+"""Differential test of the batched End(M) builder.
+
+`reference_end_data` is the e**2 builder EndAlgebra used before its
+structure constants were batched: one compose + coords per pair of basis
+elements and Python loops for the trace form.  The batched builder must
+give the same arrays bit for bit.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from arquiver import corpus, linalg
+from arquiver.homological import inj, proj
+from arquiver.knit import enumerate_indec
+from arquiver.rep import (
+    EndAlgebra,
+    Rep,
+    direct_sum,
+    hom_basis,
+    is_indecomposable,
+    simple,
+    zero_rep,
+)
+
+
+def reference_end_data(m: Rep):
+    """(struct, gram, radical_coords, quotient_indices) by the e**2 loops."""
+    hs = hom_basis(m, m)
+    p = m.p
+    e = hs.dim
+    struct = np.zeros((e, e, e), dtype=np.int64)
+    for i in range(e):
+        for j in range(e):
+            c = hs.coords(hs.basis[i].compose(hs.basis[j]))
+            assert c is not None
+            struct[i, j] = c
+    tr_l = np.array(
+        [int(struct[mm, :, :].diagonal().sum() % p) for mm in range(e)],
+        dtype=np.int64,
+    )
+    gram = linalg.zeros(e, e)
+    for i in range(e):
+        for j in range(e):
+            gram[i, j] = int((struct[i, j] * tr_l).sum() % p)
+    radical = linalg.kernel_basis(gram, p)
+    pivots = linalg.rref(radical.T, p)[1] if radical.shape[1] else []
+    quotient = [i for i in range(e) if i not in pivots]
+    return struct, gram, radical, quotient
+
+
+def reference_multiply(struct, x, y, p):
+    out = np.zeros(struct.shape[0], dtype=np.int64)
+    for i in np.nonzero(np.asarray(x) % p)[0]:
+        for j in np.nonzero(np.asarray(y) % p)[0]:
+            out = (out + int(x[i]) * int(y[j]) * struct[i, j]) % p
+    return out
+
+
+def _random_invertible(d: int, p: int, rng: random.Random) -> np.ndarray:
+    while True:
+        g = np.array(
+            [[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64
+        ).reshape(d, d)
+        if linalg.is_invertible(g, p):
+            return g
+
+
+def hidden_sum(parts, rng: random.Random) -> Rep:
+    """The direct sum of parts after a random change of basis at every vertex."""
+    total = direct_sum(parts)[0]
+    alg, p = total.algebra, total.p
+    gs = [_random_invertible(d, p, rng) for d in total.dims]
+    ginvs = [linalg.matrix_inverse(g, p) for g in gs]
+    maps = {
+        a.name: linalg.matmul(
+            linalg.matmul(gs[a.target - 1], total.maps[a.name], p),
+            ginvs[a.source - 1],
+            p,
+        )
+        for a in alg.quiver.arrows
+    }
+    return Rep(alg, total.dims, maps)
+
+
+def _corpus_modules(p: int) -> list:
+    mods = []
+    for alg in corpus.corpus(p).values():
+        n = alg.quiver.n
+        mods.append(zero_rep(alg))
+        mods += [simple(alg, v) for v in range(1, n + 1)]
+        mods += [proj(alg, v) for v in range(1, n + 1)]
+        mods += [inj(alg, v) for v in range(1, n + 1)]
+        mods += enumerate_indec(alg, cap=7).members
+    return mods
+
+
+def _hidden_sums(p: int, seed: int, copies: int) -> list:
+    """Hidden direct sums of indecomposables over the Kronecker, A3 and loop
+    algebras, each indecomposable repeated up to `copies` times."""
+    rng = random.Random(seed)
+    out = []
+    for make, cap in ((corpus.kronecker, 5), (corpus.a3, 3), (corpus.loop, 2)):
+        alg = make(p)
+        indecs = enumerate_indec(alg, cap=cap).members
+        for _ in range(2):
+            parts = [
+                m for m in indecs for _ in range(rng.randint(0, copies))
+            ] or indecs[:1]
+            out.append(hidden_sum(parts, rng))
+    return out
+
+
+def _assert_same_as_reference(m: Rep) -> EndAlgebra:
+    end = EndAlgebra(m)
+    struct, gram, radical, quotient = reference_end_data(m)
+    assert end.struct.dtype == struct.dtype == np.int64
+    assert np.array_equal(end.struct, struct)
+    assert end.gram.dtype == np.int64
+    assert np.array_equal(end.gram, gram)
+    assert np.array_equal(end.radical_coords, radical)
+    assert end.quotient_indices == quotient
+    return end
+
+
+@pytest.mark.parametrize("p", [32003, 7, 5])
+def test_corpus_modules_match_reference(p):
+    for m in _corpus_modules(p):
+        _assert_same_as_reference(m)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hidden_sums_match_reference(seed):
+    mods = _hidden_sums(32003, seed, copies=2)
+    assert max(hom_basis(m, m).dim for m in mods) >= 20
+    for m in mods:
+        _assert_same_as_reference(m)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_small_field_sums_match_reference_and_split(p):
+    # at p = 5 the two sums with dim End 5 and 6 have p <= dim End, so
+    # is_indecomposable takes the exhaustive idempotent search, which runs
+    # on multiply_coords
+    rng = random.Random(p)
+    kron, a3, lp = corpus.kronecker(p), corpus.a3(p), corpus.loop(p)
+    cases = [
+        (hidden_sum([proj(lp, 1), simple(lp, 1)], rng), 5, False),
+        (hidden_sum([proj(a3, v) for v in (1, 2, 3)], rng), 6, False),
+        (hidden_sum([simple(kron, 1), simple(kron, 2)], rng), 2, False),
+        (hidden_sum([proj(kron, 1)], rng), 1, True),
+    ]
+    for m, dim_end, indec in cases:
+        end = _assert_same_as_reference(m)
+        assert end.dim == dim_end
+        assert is_indecomposable(m) is indec
+
+
+@pytest.mark.parametrize("p", [32003, 7, 5])
+def test_multiply_coords_matches_composition(p):
+    rng = random.Random(11)
+    mods = _hidden_sums(p, 4, copies=1)
+    for m in mods:
+        end = EndAlgebra(m)
+        for _ in range(5):
+            x = np.array([rng.randrange(p) for _ in range(end.dim)], dtype=np.int64)
+            y = np.array([rng.randrange(p) for _ in range(end.dim)], dtype=np.int64)
+            y[rng.randrange(end.dim)] = 0
+            got = end.multiply_coords(x, y)
+            want = end.coords(end.from_coords(x).compose(end.from_coords(y)))
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, reference_multiply(end.struct, x, y, p))

@@ -195,3 +195,10 @@ def test_format_ses(alg_a2):
     first = text.split("module ")[1]
     back = parse_module("module " + first.split("module ")[0], alg_a2)
     assert iso(back, ses.left) is not None
+
+
+def test_composite_field_rejected():
+    with pytest.raises(ParseError, match="not a prime"):
+        parse_algebra("field 32004\nvertices 1\n")
+    with pytest.raises(ParseError, match="not a prime"):
+        parse_algebra("field 7\nvertices 1\n", prime=32004)

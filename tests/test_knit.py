@@ -1,5 +1,6 @@
 import pytest
 
+from arquiver import knit
 from arquiver.homological import proj
 from arquiver.knit import enumerate_indec, is_kronecker, root_oracle_kronecker
 from arquiver.rep import iso, simple
@@ -69,3 +70,22 @@ def test_knit_contains_projectives(alg_kronecker):
     table = enumerate_indec(alg_kronecker, cap=13)
     for v in (1, 2):
         assert table.find(proj(alg_kronecker, v)) is not None
+
+
+def test_decomposable_seed_raises_without_assert(alg_a2, monkeypatch):
+    # a check, not an assert: it must also hold under python -O
+    monkeypatch.setattr(knit, "is_indecomposable", lambda m: False)
+    with pytest.raises(RuntimeError, match="seed is decomposable"):
+        enumerate_indec(alg_a2, cap=10)
+
+
+def test_decomposable_translate_raises_without_assert(alg_a2, monkeypatch):
+    seen = []
+
+    def indecomposable_seeds_only(m):
+        seen.append(m)
+        return len(seen) <= alg_a2.quiver.n
+
+    monkeypatch.setattr(knit, "is_indecomposable", indecomposable_seeds_only)
+    with pytest.raises(RuntimeError, match="translate of an indecomposable"):
+        enumerate_indec(alg_a2, cap=10)

@@ -158,3 +158,33 @@ def test_in_span_witness_exact(m):
     ok, c = linalg.in_span(m, v, P)
     assert ok
     assert np.array_equal(linalg.matmul(m, c.reshape(-1, 1), P)[:, 0], v % P)
+
+
+# p = 4294967311 is the first prime above 2**32: (p - 1)**2 > 2**63
+BIG_P = 4294967311
+
+
+def test_matmul_refuses_int64_overflow():
+    with pytest.raises(linalg.ModulusTooLarge):
+        linalg.matmul(M([[BIG_P - 1]]), M([[BIG_P - 1]]), BIG_P)
+    stack = np.full((3, 1, 1), BIG_P - 1, dtype=np.int64)
+    with pytest.raises(linalg.ModulusTooLarge):
+        linalg.matmul(M([[BIG_P - 1]]), stack, BIG_P)
+
+
+def test_matmul_bound_counts_the_inner_dimension():
+    # (q - 1)**2 < 2**63 <= 2 * (q - 1)**2: one term is exact, two may wrap
+    q = 3037000493
+    assert linalg.matmul(M([[q - 1]]), M([[q - 1]]), q).tolist() == [[1]]
+    with pytest.raises(linalg.ModulusTooLarge):
+        linalg.matmul(M([[q - 1, 1]]), M([[q - 1], [1]]), q)
+
+
+def test_matmul_batched_matches_per_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, P, size=(4, 4))
+    stack = rng.integers(0, P, size=(5, 4, 3))
+    out = linalg.matmul(a, stack, P)
+    assert out.shape == (5, 4, 3)
+    for j in range(5):
+        assert np.array_equal(out[j], linalg.matmul(a, stack[j], P))
