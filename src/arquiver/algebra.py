@@ -155,6 +155,7 @@ class Algebra:
         self.p = p
         self._op: "Algebra | None" = None
         self._proj_cache: dict[int, object] = {}
+        self._knit_cache: dict[tuple, object] = {}
         self._build()
 
     # -- construction -------------------------------------------------

@@ -4,8 +4,9 @@ A Subcat is either a finite list of pairwise non-isomorphic indecomposable
 generators or a knitted family (postprojective / preinjective) bounded by
 a dimension cap.  Canonical precovers stack one copy of each contributing
 generator per (stable) hom dimension; right-minimal reduction strips
-superfluous summands by lifting idempotents inside the annihilator right
-ideal of the map.
+superfluous summands: an element of the annihilator right ideal of the map
+that is neither nilpotent nor a unit splits the source by Fitting's lemma,
+and the map factors through the summand on which that element is nilpotent.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, polymod
+from . import linalg
 from .algebra import Algebra
 from .homological import dtr_data
 from .knit import knit_cached
@@ -25,14 +26,17 @@ from .rep import (
     PrimeTooSmall,
     Rep,
     RepMap,
+    candidate_sweep,
     decompose,
     direct_sum,
     dual,
+    fitting_pieces,
     hom_basis,
     identity_map,
     image_of,
     is_indecomposable,
     iso,
+    split_projections,
     zero_map,
     zero_rep,
 )
@@ -204,7 +208,7 @@ def canonical_precover(
             maps = list(hom_basis(g, t).basis)
         else:
             sh = stable_hom(g, t, "inj")
-            maps = [sh.rep_for(q) for q in _unit_vectors(sh.dim)]
+            maps = [sh.rep_for(q) for q in linalg.eye(sh.dim)]
         if maps:
             pieces.append((g, maps))
             contributing.append((g, len(maps)))
@@ -241,15 +245,6 @@ def canonical_precover(
     return nu, report
 
 
-def _unit_vectors(d: int):
-    out = []
-    for i in range(d):
-        v = np.zeros(d, dtype=np.int64)
-        v[i] = 1
-        out.append(v)
-    return out
-
-
 @dataclass
 class ApproxReport:
     kind: str
@@ -282,11 +277,7 @@ def is_precover(nu: RepMap, sub: Subcat, variant: str = "plain") -> ApproxReport
         report.detail.append((g, covered, total))
         if covered < total:
             report.passed = False
-            for e in _unit_vectors(total):
-                ok, _ = linalg.in_span(mat, e, p)
-                if not ok:
-                    report.failures.append((g, to_map(e)))
-                    break
+            report.failures.append((g, to_map(linalg.first_unit_outside_span(mat, p))))
     return report
 
 
@@ -313,81 +304,48 @@ def is_preenvelope(mu: RepMap, sub: Subcat, variant: str = "plain") -> ApproxRep
         report.detail.append((g, covered, total))
         if covered < total:
             report.passed = False
-            for e in _unit_vectors(total):
-                ok, _ = linalg.in_span(mat, e, p)
-                if not ok:
-                    report.failures.append((g, to_map(e)))
-                    break
+            report.failures.append((g, to_map(linalg.first_unit_outside_span(mat, p))))
     return report
 
 
 # -- right-minimal reduction ------------------------------------------------
 
 
-def _minpoly_coords(end: EndAlgebra, w: np.ndarray) -> list:
-    """Minimal polynomial (ascending coeffs) of an element in coordinates."""
-    p = end.p
-    powers = [end.identity_coords()]
-    while True:
-        mat = np.stack(powers, axis=1)
-        nxt = end.multiply_coords(powers[-1], w)
-        ok, c = linalg.in_span(mat, nxt, p)
-        if ok:
-            coeffs = [(-int(ci)) % p for ci in c] + [1]
-            return polymod.trim(coeffs)
-        powers.append(nxt)
-
-
-def _poly_eval_coords(end: EndAlgebra, coeffs, w: np.ndarray) -> np.ndarray:
-    p = end.p
-    acc = np.zeros(end.dim, dtype=np.int64)
-    power = end.identity_coords()
-    for c in coeffs:
-        acc = (acc + (c % p) * power) % p
-        power = end.multiply_coords(power, w)
-    return acc
+def _annihilator(nu: RepMap, end: EndAlgebra) -> np.ndarray:
+    """Coordinates (columns) of the right ideal {g in End(source) : nu g = 0}."""
+    mat = np.stack([nu.compose(b).flatten() for b in end.basis], axis=1)
+    return linalg.kernel_basis(mat, nu.p)
 
 
 def _non_nilpotent_in_ideal(end, v_basis):
-    """(w, minpoly, multiplicity of the factor X) for a non-radical,
-    non-nilpotent element of the right ideal spanned by v_basis, or
-    (None, None, None) when the ideal lies in the radical.
+    """(w, multiplicity of the factor X in its minimal polynomial) for a
+    non-radical, non-nilpotent element w of the right ideal spanned by
+    v_basis, or (None, None) when the ideal lies in the radical.
 
     A single non-radical element can still be nilpotent (its image in the
     semisimple quotient may be a nilpotent matrix), so the basis sweep is
     followed by seeded random combinations; a nonzero right ideal of the
     quotient always contains non-nilpotent elements.
     """
-    p = end.p
-    k = v_basis.shape[1]
-    if k == 0:
-        return None, None, None
-
-    def candidates():
-        for j in range(k):
-            yield v_basis[:, j]
-        rng = random.Random(17)
-        for _ in range(64):
-            coeffs = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
-            yield (v_basis @ coeffs) % p
-
+    if v_basis.shape[1] == 0:
+        return None, None
     saw_non_radical = False
-    for w in candidates():
+    for w in candidate_sweep(v_basis, random.Random(17), end.p):
         if end.in_radical(w):
             continue
         saw_non_radical = True
-        mp = _minpoly_coords(end, w)
+        mp = end.minpoly(w)
         a = 0
-        while a < len(mp) and mp[a] % p == 0:
+        while mp[a] == 0:
             a += 1
-        if a < polymod.degree(mp):
-            return w, mp, a
+        if a < len(mp) - 1:
+            return w, a
     if saw_non_radical:
         raise RuntimeError(
             "annihilator ideal escapes the radical but no non-nilpotent "
             "element was found"
         )
-    return None, None, None
+    return None, None
 
 
 def right_minimal_reduce(nu: RepMap) -> RepMap:
@@ -395,10 +353,10 @@ def right_minimal_reduce(nu: RepMap) -> RepMap:
     factorization closure.
 
     Iterates: V = {g in End(source) : nu g = 0} is a right ideal; if V lies
-    in the radical, nu is right minimal.  Otherwise a nonzero idempotent is
-    lifted inside V (polynomial CRT on a non-nilpotent element, then Newton
-    iteration, both constant-term-free so the result stays in V) and the
-    corresponding summand is split off.
+    in the radical, nu is right minimal.  Otherwise V holds an element w
+    that is neither nilpotent nor a unit.  Since nu w = 0, nu vanishes on
+    im w^N and so factors through the Fitting projection onto ker w^N along
+    im w^N; its image, a proper summand, replaces the source.
     """
     src = nu.source
     if src.is_zero:
@@ -409,37 +367,19 @@ def right_minimal_reduce(nu: RepMap) -> RepMap:
         raise PrimeTooSmall(
             f"p={p} <= dim End = {end.dim}; right-minimal reduction needs p > dim End"
         )
-    cols = [nu.compose(b).flatten() for b in end.basis]
-    mat = np.stack(cols, axis=1)
-    v_basis = linalg.kernel_basis(mat, p)  # coords of V in End basis
-    w, mp, a = _non_nilpotent_in_ideal(end, v_basis)
+    w, a = _non_nilpotent_in_ideal(end, _annihilator(nu, end))
     if w is None:
         return nu
     if a == 0:
         # w invertible and nu w = 0: nu is the zero map; minimal source is 0
         z = zero_rep(src.algebra)
         return zero_map(z, nu.target)
-    g_part = polymod.trim(list(mp[a:]))
-    xa = [0] * a + [1]
-    upoly, _, gcd = polymod.pgcdex(xa, g_part, p)
-    if polymod.degree(gcd) != 0:
-        raise RuntimeError("X^a and g share a factor; minpoly split failed")
-    inv_gcd = pow(int(gcd[0]), p - 2, p)
-    h = polymod.pscale(polymod.pmul(upoly, xa, p), inv_gcd, p)
-    e = _poly_eval_coords(end, h, w)
-    for _ in range(end.dim + 4):
-        sq = end.multiply_coords(e, e)
-        if np.array_equal(sq, e):
-            break
-        cube = end.multiply_coords(sq, e)
-        e = (3 * sq - 2 * cube) % p
-    else:
-        raise RuntimeError("idempotent lifting did not converge")
-    if not e.any():
-        raise RuntimeError("lifted idempotent is zero")
-    one_minus_e = (end.identity_coords() - e) % p
-    f = end.from_coords(one_minus_e)
-    sub, incl, _ = image_of(f)
+    pieces = fitting_pieces(end, w)
+    if sum(sub.total_dim for _, sub, _ in pieces) != src.total_dim:
+        raise RuntimeError("Fitting pieces do not sum to the source")
+    projs = split_projections(src, [(sub, incl) for _, sub, incl in pieces])
+    (k,) = [i for i, (g, _, _) in enumerate(pieces) if g == [0, 1]]
+    sub, incl, _ = image_of(pieces[k][2].compose(projs[k]))
     if sub.total_dim == src.total_dim:
         raise RuntimeError("splitting made no progress")
     return right_minimal_reduce(nu.compose(incl))
@@ -451,9 +391,7 @@ def right_minimality_certificate(nu: RepMap) -> bool:
     if src.is_zero:
         return True
     end = end_algebra(src)
-    cols = [nu.compose(b).flatten() for b in end.basis]
-    mat = np.stack(cols, axis=1)
-    v_basis = linalg.kernel_basis(mat, src.p)
+    v_basis = _annihilator(nu, end)
     return all(
         end.in_radical(v_basis[:, j]) for j in range(v_basis.shape[1])
     )

@@ -129,11 +129,16 @@ def _take_matrix(lines: list, i: int, rows: int, cols: int):
     mat = linalg.zeros(rows, cols)
     if cols == 0:
         return mat, i
+    if i + rows > len(lines):
+        raise ParseError(f"expected {rows} rows, got {len(lines) - i}")
     for r in range(rows):
         entries = lines[i + r].split()
         if len(entries) != cols:
             raise ParseError(f"expected {cols} entries, got {len(entries)}")
-        mat[r] = [int(x) for x in entries]
+        try:
+            mat[r] = [int(x) for x in entries]
+        except ValueError as exc:
+            raise ParseError(f"non-integer entry in {lines[i + r]!r}") from exc
     return mat, i + rows
 
 
@@ -162,7 +167,11 @@ def _parse_module_lines(lines: list, alg: Algebra) -> tuple:
             raise ParseError(f"unknown arrow {arrow!r}")
         mat, i = _take_matrix(lines, i + 1, int(rows_s), int(cols_s))
         maps[arrow] = mat
-    return Rep(alg, dims, maps, name=name), lines[i:]
+    try:
+        rep = Rep(alg, dims, maps, name=name)
+    except ValueError as exc:
+        raise ParseError(f"module {name!r}: {exc}") from exc
+    return rep, lines[i:]
 
 
 def write_module(m: Rep, path: str, name: str | None = None) -> None:
@@ -337,7 +346,7 @@ def parse_bundle(text: str, prime: int | None = None, algebra: Algebra | None = 
     if algebra is not None:
         # anchor the bundle on a caller-provided algebra object so its
         # modules compose with modules loaded elsewhere in the same run
-        if algebra.p != alg.p or algebra.quiver.n != alg.quiver.n:
+        if not algebra.same_presentation(alg):
             raise ParseError("bundle algebra disagrees with the provided algebra")
         alg = algebra
     bundle = Bundle(alg, check=check)

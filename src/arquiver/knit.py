@@ -85,14 +85,13 @@ def enumerate_indec(
     return table
 
 
-_KNIT_CACHE: dict = {}
-
-
 def knit_cached(alg: Algebra, cap: int, direction: str) -> KnitTable:
-    key = (id(alg), cap, direction)
-    if key not in _KNIT_CACHE:
-        _KNIT_CACHE[key] = enumerate_indec(alg, cap, direction)
-    return _KNIT_CACHE[key]
+    """enumerate_indec, memoized on the algebra so the table lives as long
+    as the algebra does."""
+    key = (cap, direction)
+    if key not in alg._knit_cache:
+        alg._knit_cache[key] = enumerate_indec(alg, cap, direction)
+    return alg._knit_cache[key]
 
 
 def is_kronecker(alg: Algebra) -> bool:

@@ -144,6 +144,22 @@ def in_span(basis, v, p: int):
     return (c is not None), c
 
 
+def first_unit_outside_span(basis, p: int):
+    """The first unit vector e_i, in index order, outside the column span of
+    basis, or None when the span is the whole space.
+
+    e_i lies in the span iff every y with y @ basis = 0 has y_i = 0, so one
+    left null space replaces a membership test per index.
+    """
+    perp = kernel_basis(as_matrix(basis, p).T, p)
+    outside = np.nonzero(perp.any(axis=1))[0]
+    if outside.size == 0:
+        return None
+    e = np.zeros(perp.shape[0], dtype=np.int64)
+    e[outside[0]] = 1
+    return e
+
+
 def column_space(m, p: int) -> np.ndarray:
     """Deterministic basis of the column span: the original pivot columns."""
     a = as_matrix(m, p)

@@ -20,7 +20,6 @@ from .algebra import Algebra
 from .linalg import matmul
 
 DEFAULT_SEED = 1
-ISO_RANDOM_TRIES = 64
 
 
 class AlgebraMismatch(ValueError):
@@ -608,6 +607,18 @@ class EndAlgebra:
         left = matmul(x, self.struct.reshape(e, e * e), p).reshape(e, e)
         return matmul(y, left, p)
 
+    def minpoly(self, w) -> list:
+        """Minimal polynomial of an element given in coordinates: monic,
+        coefficients in ascending degree."""
+        p = self.p
+        powers = [self.identity_coords()]
+        while True:
+            nxt = self.multiply_coords(powers[-1], w)
+            ok, c = linalg.in_span(np.stack(powers, axis=1), nxt, p)
+            if ok:
+                return [(-int(ci)) % p for ci in c] + [1]
+            powers.append(nxt)
+
     def reduce_mod_radical(self, coords) -> np.ndarray:
         v = np.asarray(coords, dtype=np.int64) % self.p
         for i, pc in enumerate(self._rad_pivots):
@@ -717,16 +728,6 @@ def is_indecomposable(m: Rep) -> bool:
 # -- decomposition ----------------------------------------------------------
 
 
-def _charpoly_mod(a: np.ndarray, p: int) -> list:
-    """Characteristic polynomial coefficients mod p, ascending degree."""
-    if a.shape[0] == 0:
-        return [1]
-    x = sympy.symbols("x")
-    cp = sympy.Matrix(a.tolist()).charpoly(x)
-    coeffs = [int(c) % p for c in reversed(cp.all_coeffs())]
-    return coeffs
-
-
 def _factor_mod(coeffs: list, p: int) -> list:
     """[(factor coeffs ascending, multiplicity)] over F_p."""
     x = sympy.symbols("x")
@@ -765,46 +766,87 @@ class DecompositionFailed(RuntimeError):
     pass
 
 
-def _split_once(m: Rep, rng: random.Random):
-    """Return a list of >= 2 (subrep, incl) pieces, or None if no splitting
-    endomorphism was found among the sweep candidates."""
-    end = end_algebra(m)
-    p = m.p
+SWEEP_RANDOM_TRIES = 64
 
-    def candidates():
-        for b in end.basis:
-            yield b
-        for _ in range(64):
-            coeffs = [rng.randrange(p) for _ in range(end.dim)]
-            yield end.from_coords(np.array(coeffs, dtype=np.int64))
 
+def candidate_sweep(basis: np.ndarray, rng: random.Random, p: int):
+    """Candidates from the column span of basis: its columns, then seeded
+    random combinations.  Coefficients are drawn lazily, so rng advances
+    only as far as the caller reads."""
+    k = basis.shape[1]
+    for j in range(k):
+        yield basis[:, j]
+    for _ in range(SWEEP_RANDOM_TRIES):
+        coeffs = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+        yield matmul(basis, coeffs, p)
+
+
+def fitting_pieces(end: EndAlgebra, w) -> list:
+    """Fitting decomposition of the module of end along w (coordinates).
+
+    One (factor, subrep, inclusion) per distinct monic irreducible factor g
+    of the minimal polynomial of w, the subrep being ker g(w)^N, N = total
+    dim.  Pieces are ordered by (deg g, dim piece / deg g, coefficients of g
+    from the top); dim piece / deg g is the multiplicity of g in the
+    characteristic polynomial, so this is the order of sympy's factor_list
+    on the characteristic polynomial.
+    """
+    m = end.module
+    p = end.p
+    factors = [g for g, _ in _factor_mod(end.minpoly(w), p)]
+    if len(factors) < 2:
+        # a single factor's piece is all of m; no kernel to compute
+        return [(factors[0], m, identity_map(m))]
+    f = end.from_coords(w)
     total = m.total_dim
-    for f in candidates():
-        blocks_cat = [f.blocks[i] for i in range(len(m.dims)) if m.dims[i]]
-        if not blocks_cat:
-            return None
-        full = linalg.zeros(total, total)
-        off = 0
-        for b in f.blocks:
-            d = b.shape[0]
-            full[off : off + d, off : off + d] = b
-            off += d
-        cp = _charpoly_mod(full, p)
-        factors = _factor_mod(cp, p)
-        if len(factors) < 2:
+    pieces = []
+    for g in factors:
+        g_power = RepMap(
+            m,
+            m,
+            tuple(
+                linalg.matrix_power(b, total, p) for b in _poly_of_endo(f, g).blocks
+            ),
+            check=False,
+        )
+        pieces.append((g, *kernel_of(g_power)))
+    pieces.sort(
+        key=lambda pc: (len(pc[0]), pc[1].total_dim // (len(pc[0]) - 1), pc[0][::-1])
+    )
+    return pieces
+
+
+def split_projections(m: Rep, pieces) -> list:
+    """Projections of m onto (subrep, inclusion) pieces whose inclusions
+    together form a change of basis of m: row blocks of its inverse."""
+    p = m.p
+    inverses = [
+        linalg.matrix_inverse(np.hstack([incl.block(v) for _, incl in pieces]), p)
+        for v in range(1, m.algebra.quiver.n + 1)
+    ]
+    if any(inv is None for inv in inverses):
+        raise DecompositionFailed("piece inclusions do not span")
+    out = []
+    row_off = [0] * len(m.dims)
+    for sub, _ in pieces:
+        proj_blocks = []
+        for i in range(len(m.dims)):
+            d = sub.dims[i]
+            proj_blocks.append(inverses[i][row_off[i] : row_off[i] + d, :])
+            row_off[i] += d
+        out.append(RepMap(m, sub, tuple(proj_blocks), check=True))
+    return out
+
+
+def _split_once(m: Rep, rng: random.Random):
+    """Return a list of >= 2 (subrep, incl) Fitting pieces, or None if no
+    splitting endomorphism was found among the sweep candidates."""
+    end = end_algebra(m)
+    for w in candidate_sweep(linalg.eye(end.dim), rng, m.p):
+        pieces = [(sub, incl) for _, sub, incl in fitting_pieces(end, w)]
+        if len(pieces) < 2:
             continue
-        pieces = []
-        for fc, mult in factors:
-            g = _poly_of_endo(f, fc)
-            g_power = RepMap(
-                m,
-                m,
-                tuple(linalg.matrix_power(b, total, p) for b in g.blocks),
-                check=False,
-            )
-            sub, incl = kernel_of(g_power)
-            pieces.append((sub, incl))
-        if sum(s.total_dim for s, _ in pieces) != total:
+        if sum(s.total_dim for s, _ in pieces) != m.total_dim:
             continue
         if any(s.total_dim == 0 for s, _ in pieces):
             continue
@@ -822,25 +864,15 @@ def _split_indecomposables(m: Rep, rng: random.Random):
     pieces = _split_once(m, rng)
     if pieces is None:
         raise DecompositionFailed("no splitting endomorphism found")
-    p = m.p
-    # projections from m onto each piece: invert the combined change of basis
-    combined = [
-        np.hstack([incl.block(v) for _, incl in pieces])
-        for v in range(1, m.algebra.quiver.n + 1)
-    ]
-    inverses = [linalg.matrix_inverse(c, p) for c in combined]
-    if any(inv is None for inv in inverses):
-        raise DecompositionFailed("piece inclusions do not span")
     out = []
-    row_off = [0] * len(m.dims)
-    for sub, incl in pieces:
-        proj_blocks = []
-        for i in range(len(m.dims)):
-            d = sub.dims[i]
-            proj_blocks.append(inverses[i][row_off[i] : row_off[i] + d, :])
-            row_off[i] += d
-        proj = RepMap(m, sub, tuple(proj_blocks), check=True)
-        for piece, sub_incl, sub_proj in _split_indecomposables(sub, rng):
+    for (sub, incl), proj in zip(pieces, split_projections(m, pieces)):
+        split = _split_indecomposables(sub, rng)
+        if len(split) > 1:
+            # sub gives way to its summands; its cached End and Hom spaces
+            # refer back to it, so free them now, not at the next cyclic
+            # garbage collection
+            del sub._end_cache, sub._hom_cache
+        for piece, sub_incl, sub_proj in split:
             out.append(
                 (piece, incl.compose(sub_incl), sub_proj.compose(proj))
             )
@@ -884,14 +916,9 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
     hs = hom_basis(m, n)
     if hs.dim == 0:
         return None
-    for f in hs.basis:
-        if f.is_invertible():
-            return f
-    rng = random.Random(seed)
     p = m.p
-    for _ in range(ISO_RANDOM_TRIES):
-        coeffs = np.array([rng.randrange(p) for _ in range(hs.dim)], dtype=np.int64)
-        f = hs.from_coords(coeffs)
+    for w in candidate_sweep(linalg.eye(hs.dim), random.Random(seed), p):
+        f = hs.from_coords(w)
         if f.is_invertible():
             return f
     # sound structural fallback

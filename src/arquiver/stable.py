@@ -207,21 +207,10 @@ def is_precover_with_error_term(
         covered = linalg.rank(span, p)
         report.detail.append((l_mod, covered, target_hs.dim))
         if covered < target_hs.dim:
-            witness = _outside_witness(target_hs, span, p)
+            witness = target_hs.from_coords(linalg.first_unit_outside_span(span, p))
             report.passed = False
             report.failures.append((l_mod, witness))
     return report
-
-
-def _outside_witness(target_hs, span_cols, p):
-    """A hom not in the given coordinate subspace (exists when rank < dim)."""
-    for i in range(target_hs.dim):
-        e = np.zeros(target_hs.dim, dtype=np.int64)
-        e[i] = 1
-        ok, _ = linalg.in_span(span_cols, e, p)
-        if not ok:
-            return target_hs.from_coords(e)
-    return None
 
 
 def is_stable_precover(
@@ -241,15 +230,8 @@ def is_stable_precover(
         covered = linalg.rank(mat, p)
         report.detail.append((l_mod, covered, sh.dim))
         if covered < sh.dim:
-            witness = None
-            for i in range(sh.dim):
-                e = np.zeros(sh.dim, dtype=np.int64)
-                e[i] = 1
-                ok, _ = linalg.in_span(mat, e, p)
-                if not ok:
-                    witness = sh.rep_for(e)
-                    break
             report.passed = False
+            witness = sh.rep_for(linalg.first_unit_outside_span(mat, p))
             report.failures.append((l_mod, witness))
     return report
 

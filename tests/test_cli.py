@@ -264,3 +264,24 @@ def test_product_beyond_int64_is_a_guard(tmp_path, capsys):
     )
     assert code == 3
     assert "guard: inner dimension" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "module_text, message",
+    [
+        # x is nonzero but the relation x.x = 0 holds only for x nilpotent
+        ("module M\ndim 1\nmap x 1 1\n1\n", "does not satisfy the relations"),
+        # a 2 x 2 block with a single row
+        ("module M\ndim 2\nmap x 2 2\n0 1\n", "expected 2 rows, got 1"),
+    ],
+)
+def test_malformed_module_is_a_usage_error(tmp_path, capsys, module_text, message):
+    fileio.write_algebra(corpus.loop(), str(tmp_path / "loop.alg"))
+    (tmp_path / "bad.mod").write_text(module_text)
+    code = run(
+        ["dtr", "--algebra", str(tmp_path / "loop.alg"), "--module", str(tmp_path / "bad.mod")]
+    )
+    assert code == 2
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("usage error: ") and message in out
+    assert "\n" not in out

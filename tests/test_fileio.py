@@ -202,3 +202,13 @@ def test_composite_field_rejected():
         parse_algebra("field 32004\nvertices 1\n")
     with pytest.raises(ParseError, match="not a prime"):
         parse_algebra("field 7\nvertices 1\n", prime=32004)
+
+
+def test_bundle_rejects_algebra_with_other_arrows(alg_a2, alg_kronecker):
+    # same prime and vertex count, but A2 has one arrow and Kronecker two
+    text = Bundle(alg_a2, modules={"S1": simple(alg_a2, 1)}).format()
+    with pytest.raises(ParseError, match="disagrees"):
+        parse_bundle(text, algebra=alg_kronecker)
+    back = parse_bundle(text, algebra=alg_a2)
+    assert back.algebra is alg_a2
+    assert back.modules["S1"].equal(simple(alg_a2, 1))

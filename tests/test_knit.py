@@ -89,3 +89,18 @@ def test_decomposable_translate_raises_without_assert(alg_a2, monkeypatch):
     monkeypatch.setattr(knit, "is_indecomposable", indecomposable_seeds_only)
     with pytest.raises(RuntimeError, match="translate of an indecomposable"):
         enumerate_indec(alg_a2, cap=10)
+
+
+def test_knit_cache_lives_with_the_algebra():
+    import gc
+    import weakref
+
+    from arquiver import corpus
+
+    alg = corpus.kronecker()
+    table = knit.knit_cached(alg, 7, "from-projectives")
+    assert knit.knit_cached(alg, 7, "from-projectives") is table
+    ref = weakref.ref(alg)
+    del alg, table
+    gc.collect()
+    assert ref() is None

@@ -188,3 +188,36 @@ def test_matmul_batched_matches_per_matrix():
     assert out.shape == (5, 4, 3)
     for j in range(5):
         assert np.array_equal(out[j], linalg.matmul(a, stack[j], P))
+
+
+def _first_unit_outside_span_by_membership(basis, p):
+    for i in range(basis.shape[0]):
+        e = np.zeros(basis.shape[0], dtype=np.int64)
+        e[i] = 1
+        if not linalg.in_span(basis, e, p)[0]:
+            return e
+    return None
+
+
+@given(small_mats, st.sampled_from([2, 3, P]))
+def test_first_unit_outside_span_matches_membership_loop(m, p):
+    m = m % p
+    got = linalg.first_unit_outside_span(m, p)
+    want = _first_unit_outside_span_by_membership(m, p)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_first_unit_outside_span_examples():
+    # span of (1, 1, 0): e_0 is outside; span of e_0, e_1: e_2 is outside
+    assert np.array_equal(
+        linalg.first_unit_outside_span(M([[1], [1], [0]]), P), [1, 0, 0]
+    )
+    assert np.array_equal(
+        linalg.first_unit_outside_span(M([[1, 0], [0, 1], [0, 0]]), P), [0, 0, 1]
+    )
+    assert linalg.first_unit_outside_span(np.eye(3, dtype=np.int64), P) is None
+    assert np.array_equal(linalg.first_unit_outside_span(linalg.zeros(2, 0), P), [1, 0])
+    assert linalg.first_unit_outside_span(linalg.zeros(0, 0), P) is None
