@@ -23,6 +23,13 @@ class ParseError(ValueError):
     pass
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"{what} must be an integer, got {text!r}") from exc
+
+
 def _logical_lines(text: str) -> list:
     out = []
     for raw in text.splitlines():
@@ -63,7 +70,7 @@ def parse_algebra(text: str, prime: int | None = None) -> Algebra:
     lines = _logical_lines(text)
     if not lines or not lines[0].startswith("field "):
         raise ParseError("algebra file must start with 'field <p>'")
-    p = int(lines[0].split()[1])
+    p = _int(lines[0].split()[1], "field modulus")
     if prime is not None:
         p = prime
     try:
@@ -72,7 +79,7 @@ def parse_algebra(text: str, prime: int | None = None) -> Algebra:
         raise ParseError(str(exc)) from exc
     if len(lines) < 2 or not lines[1].startswith("vertices "):
         raise ParseError("second line must be 'vertices <n>'")
-    n = int(lines[1].split()[1])
+    n = _int(lines[1].split()[1], "vertex count")
     arrows = []
     relations = []
     for line in lines[2:]:
@@ -81,18 +88,23 @@ def parse_algebra(text: str, prime: int | None = None) -> Algebra:
             parts = rest.split()
             if len(parts) != 3:
                 raise ParseError(f"malformed arrow line {line!r}")
-            arrows.append((parts[0], int(parts[1]), int(parts[2])))
+            arrows.append(
+                (parts[0], _int(parts[1], "arrow source"), _int(parts[2], "arrow target"))
+            )
         elif head == "rel":
             terms = []
             for chunk in rest.split(" + "):
                 coeff_s, _, path_s = chunk.partition("*")
                 if not path_s:
                     raise ParseError(f"malformed relation term {chunk!r}")
-                terms.append((int(coeff_s) % p, _parse_path(path_s)))
+                terms.append((_int(coeff_s, "coefficient") % p, _parse_path(path_s)))
             relations.append(Relation(terms))
         else:
             raise ParseError(f"unknown directive {head!r} in algebra file")
-    return Algebra(Quiver(n, arrows), relations, p=p)
+    try:
+        return Algebra(Quiver(n, arrows), relations, p=p)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def write_algebra(alg: Algebra, path: str) -> None:
@@ -126,6 +138,8 @@ def format_module(m: Rep, name: str | None = None) -> str:
 
 
 def _take_matrix(lines: list, i: int, rows: int, cols: int):
+    if rows < 0 or cols < 0:
+        raise ParseError(f"negative matrix shape {rows} x {cols}")
     mat = linalg.zeros(rows, cols)
     if cols == 0:
         return mat, i
@@ -158,14 +172,18 @@ def _parse_module_lines(lines: list, alg: Algebra) -> tuple:
     name = parts[1] if len(parts) > 1 else ""
     if len(lines) < 2 or not lines[1].startswith("dim"):
         raise ParseError("module block needs a 'dim' line")
-    dims = tuple(int(x) for x in lines[1].split()[1:])
+    dims = tuple(_int(x, "dimension") for x in lines[1].split()[1:])
     maps = {}
     i = 2
     while i < len(lines) and lines[i].startswith("map "):
-        _, arrow, rows_s, cols_s = lines[i].split()
+        parts = lines[i].split()
+        if len(parts) != 4:
+            raise ParseError(f"map line needs 'map <arrow> <rows> <cols>': {lines[i]!r}")
+        _, arrow, rows_s, cols_s = parts
         if arrow not in alg.quiver.by_name:
             raise ParseError(f"unknown arrow {arrow!r}")
-        mat, i = _take_matrix(lines, i + 1, int(rows_s), int(cols_s))
+        rows, cols = _int(rows_s, "map rows"), _int(cols_s, "map columns")
+        mat, i = _take_matrix(lines, i + 1, rows, cols)
         maps[arrow] = mat
     try:
         rep = Rep(alg, dims, maps, name=name)
@@ -207,12 +225,16 @@ def _parse_morphism_lines(lines: list, modules: dict) -> tuple:
     blocks = []
     i = 1
     for v in range(1, source.algebra.quiver.n + 1):
-        head = lines[i].split()
-        if head[0] != "block" or int(head[1]) != v:
-            raise ParseError(f"expected 'block {v} ...' in morphism {name!r}")
-        mat, i = _take_matrix(lines, i + 1, int(head[2]), int(head[3]))
+        head = lines[i].split() if i < len(lines) else []
+        if len(head) != 4 or head[0] != "block" or _int(head[1], "block vertex") != v:
+            raise ParseError(f"expected 'block {v} <rows> <cols>' in morphism {name!r}")
+        rows, cols = _int(head[2], "block rows"), _int(head[3], "block columns")
+        mat, i = _take_matrix(lines, i + 1, rows, cols)
         blocks.append(mat)
-    f = RepMap(source, target, tuple(blocks), check=True)
+    try:
+        f = RepMap(source, target, tuple(blocks), check=True)
+    except ValueError as exc:
+        raise ParseError(f"morphism {name!r}: {exc}") from exc
     return name, f, lines[i:]
 
 
@@ -251,7 +273,7 @@ def read_subcat(path: str, alg: Algebra):
             raise ParseError(f"family subcat needs 'cap <d>': {lines[0]!r}")
         if len(lines) > 1:
             raise ParseError("family subcat file has no further lines")
-        return Subcat(alg, kind, [], cap=int(parts[3]))
+        return Subcat(alg, kind, [], cap=_int(parts[3], "cap"))
     raise ParseError(f"unknown subcat kind {kind!r}")
 
 

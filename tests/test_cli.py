@@ -273,6 +273,14 @@ def test_product_beyond_int64_is_a_guard(tmp_path, capsys):
         ("module M\ndim 1\nmap x 1 1\n1\n", "does not satisfy the relations"),
         # a 2 x 2 block with a single row
         ("module M\ndim 2\nmap x 2 2\n0 1\n", "expected 2 rows, got 1"),
+        # a map header with three fields
+        ("module M\ndim 1\nmap x 1\n0\n", "map line needs 'map <arrow> <rows> <cols>'"),
+        # a map header whose row count is not an integer
+        ("module M\ndim 1\nmap x one 1\n0\n", "map rows must be an integer, got 'one'"),
+        # a dimension that is not an integer
+        ("module M\ndim one\n", "dimension must be an integer, got 'one'"),
+        # a map block with a negative row count
+        ("module M\ndim 1\nmap x -1 1\n", "negative matrix shape -1 x 1"),
     ],
 )
 def test_malformed_module_is_a_usage_error(tmp_path, capsys, module_text, message):
@@ -285,3 +293,47 @@ def test_malformed_module_is_a_usage_error(tmp_path, capsys, module_text, messag
     out = capsys.readouterr().out.strip()
     assert out.startswith("usage error: ") and message in out
     assert "\n" not in out
+
+
+@pytest.mark.parametrize(
+    "algebra_text, message",
+    [
+        ("field abc\nvertices 2\narrow a 1 2\n", "field modulus must be an integer, got 'abc'"),
+        ("field 32003\nvertices 2\narrow a 1 5\n", "arrow 'a' has out-of-range endpoints"),
+    ],
+)
+def test_malformed_algebra_is_a_usage_error(tmp_path, capsys, algebra_text, message):
+    (tmp_path / "bad.alg").write_text(algebra_text)
+    (tmp_path / "s1.mod").write_text("module S1\ndim 1 0\nmap a 0 1\n")
+    code = run(
+        ["dtr", "--algebra", str(tmp_path / "bad.alg"), "--module", str(tmp_path / "s1.mod")]
+    )
+    assert code == 2
+    assert capsys.readouterr().out.strip() == f"usage error: {message}"
+
+
+def test_non_commuting_bundle_morphism_is_a_usage_error(a2_files, tmp_path, capsys):
+    # the identity of P1 over A2 with its vertex-2 block set to 0
+    text = "\n".join(
+        [
+            fileio.BUNDLE_HEADER,
+            "begin algebra",
+            fileio.format_algebra(corpus.a2()).rstrip("\n"),
+            "end",
+            "begin module",
+            "module P1\ndim 1 1\nmap a 1 1\n1",
+            "end",
+            "begin morphism",
+            "morphism nu P1 P1\nblock 1 1 1\n1\nblock 2 1 1\n0",
+            "end",
+            "check minimal",
+        ]
+    )
+    (tmp_path / "bad.bundle").write_text(text + "\n")
+    code = run(
+        ["minimal", "--algebra", str(a2_files / "a2.alg"),
+         "--bundle", str(tmp_path / "bad.bundle")]
+    )
+    assert code == 2
+    out = capsys.readouterr().out.strip()
+    assert out == "usage error: morphism 'nu': map does not commute with arrow 'a'"
