@@ -30,7 +30,7 @@ from .arseq import (
     verify_ar_sequence,
 )
 from .homological import SES, dtr, dtr_data, ext1, inj, proj, transpose, trd
-from .knit import knit_cached
+from .knit import knit_both_ends, knit_cached
 from .rep import (
     brute_indec_classes,
     dual,
@@ -70,11 +70,7 @@ def _timed(index, title, fn):
 
 def corpus_indecomposables(alg, cap: int = FAMILY_CAP) -> list:
     """Knit from both ends, add the simples, dedupe by iso."""
-    members = []
-    for direction in ("from-projectives", "from-injectives"):
-        for m in knit_cached(alg, cap, direction).members:
-            if all(iso(m, x) is None for x in members):
-                members.append(m)
+    members = knit_both_ends(alg, cap)
     for v in range(1, alg.quiver.n + 1):
         s = simple(alg, v)
         if is_indecomposable(s) and all(iso(s, x) is None for x in members):

@@ -154,8 +154,7 @@ class Algebra:
         self.relations = list(relations)
         self.p = p
         self._op: "Algebra | None" = None
-        self._proj_cache: dict[int, object] = {}
-        self._knit_cache: dict[tuple, object] = {}
+        self._memo: dict = {}
         self._build()
 
     # -- construction -------------------------------------------------

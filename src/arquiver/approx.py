@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra
-from .homological import dtr_data
 from .knit import knit_cached
 from .rep import (
     EndAlgebra,
@@ -32,7 +31,6 @@ from .rep import (
     dual,
     fitting_pieces,
     hom_basis,
-    identity_map,
     image_of,
     is_indecomposable,
     iso,

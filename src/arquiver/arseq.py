@@ -9,7 +9,6 @@ reported rather than papered over.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .approx import (
     right_minimal_reduce,
 )
 from .homological import SES, ar_socle_classes, dtr_data, ext1, projective_cover
-from .knit import knit_cached
+from .knit import knit_both_ends
 from .rep import (
     Rep,
     RepMap,
@@ -130,15 +129,7 @@ def left_almost_split(g: RepMap, testset: list) -> AlmostSplitReport:
     for t in testset:
         if not is_indecomposable(t):
             raise ValueError("test modules must be indecomposable")
-        w = iso(a, t)
-        if w is None:
-            tests = list(hom_basis(a, t).basis)
-        else:
-            end = end_algebra(a)
-            rad = end.radical_coords
-            tests = [
-                w.compose(end.from_coords(rad[:, j])) for j in range(rad.shape[1])
-            ]
+        tests = radical_hom_basis(a, t)
         if not tests:
             continue
         report.vacuous = False
@@ -187,12 +178,7 @@ def verify_ar_sequence(s: SES, sub: Subcat, seed: int = DEFAULT_SEED) -> ARRepor
 
 def _whole_category_subcat(alg, cap: int) -> Subcat:
     """All indecomposables reachable by knitting from both ends, capped."""
-    members = []
-    for direction in ("from-projectives", "from-injectives"):
-        for m in knit_cached(alg, cap, direction).members:
-            if all(iso(m, x) is None for x in members):
-                members.append(m)
-    sub = Subcat(alg, "finite", members)
+    sub = Subcat(alg, "finite", knit_both_ends(alg, cap))
     sub.audit_status = f"knitted within cap {cap}"
     return sub
 
@@ -309,10 +295,7 @@ def ar_end_in_subcat(m: Rep, sub: Subcat, seed: int = DEFAULT_SEED) -> AROutcome
             for j in range(min(kernel.shape[1], 4)):
                 lifts.append((lift + kernel[:, j]) % m.p)
             for x in lifts:
-                try:
-                    ses = ext_n.realize(x)
-                except Exception:
-                    continue
+                ses = ext_n.realize(x)
                 report = verify_ar_sequence(ses, sub, seed=seed)
                 if report.passed:
                     return AROutcome("found", ses, report)

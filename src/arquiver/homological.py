@@ -10,15 +10,15 @@ transpose and the Nakayama functor computable by reversing paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .algebra import Algebra, Path, path_target
 from .linalg import matmul
+from .memo import memoized
 from .rep import (
-    EndAlgebra,
     end_algebra,
     Rep,
     RepMap,
@@ -31,20 +31,18 @@ from .rep import (
     image_of,
     kernel_of,
     cokernel_of,
-    zero_map,
     zero_rep,
 )
 
 
+@memoized
 def proj(alg: Algebra, v: int) -> Rep:
-    """The indecomposable projective Lambda e_v as a representation.
+    """The indecomposable projective Lambda e_v as a representation,
+    memoized (memo.memoized) on the algebra.
 
     The space at vertex u has the basis paths v -> u; an arrow acts by
     appending itself (left multiplication) and reducing.
     """
-    cached = alg._proj_cache.get(v)
-    if cached is not None:
-        return cached
     dims = tuple(len(alg.basis_paths(v, u)) for u in range(1, alg.quiver.n + 1))
     maps = {}
     for a in alg.quiver.arrows:
@@ -56,9 +54,7 @@ def proj(alg: Algebra, v: int) -> Rep:
             for r, c in alg.reduce_path((v, q[1] + (a.name,))).items():
                 m[row[r], j] = c
         maps[a.name] = m
-    rep = Rep(alg, dims, maps, name=f"P{v}")
-    alg._proj_cache[v] = rep
-    return rep
+    return Rep(alg, dims, maps, name=f"P{v}")
 
 
 def inj(alg: Algebra, v: int) -> Rep:
@@ -239,21 +235,13 @@ def top_generators(m: Rep) -> list:
     return gens
 
 
+@memoized
 def projective_cover(m: Rep) -> tuple:
     """(ProjSum, surjection onto m) with one summand per top generator.
 
-    Memoized on the module: covers are requested repeatedly by the stable
-    and approximation layers.
+    Memoized (memo.memoized) on the module: covers are requested repeatedly
+    by the stable and approximation layers.
     """
-    cached = getattr(m, "_cover_cache", None)
-    if cached is not None:
-        return cached
-    out = _projective_cover_raw(m)
-    m._cover_cache = out
-    return out
-
-
-def _projective_cover_raw(m: Rep) -> tuple:
     alg = m.algebra
     gens = top_generators(m)
     ps = ProjSum(alg, tuple(u for u, _ in gens))
@@ -279,21 +267,13 @@ def _projective_cover_raw(m: Rep) -> tuple:
     return ps, aug
 
 
+@memoized
 def injective_envelope(m: Rep) -> tuple:
     """(InjSum given as (vertices, rep), mono m -> injective).
 
     Constructed as the dual of the projective cover of the dual module.
-    Memoized on the module.
+    Memoized (memo.memoized) on the module.
     """
-    cached = getattr(m, "_env_cache", None)
-    if cached is not None:
-        return cached
-    out = _injective_envelope_raw(m)
-    m._env_cache = out
-    return out
-
-
-def _injective_envelope_raw(m: Rep) -> tuple:
     dm = dual(m)
     ps, cover = projective_cover(dm)
     irep = dual(ps.rep)
@@ -392,16 +372,10 @@ class DtrData:
     incl: RepMap  # DTr M -> nu P1
 
 
+@memoized
 def dtr_data(m: Rep) -> DtrData:
-    cached = getattr(m, "_dtr_cache", None)
-    if cached is not None:
-        return cached
-    out = _dtr_data_raw(m)
-    m._dtr_cache = out
-    return out
-
-
-def _dtr_data_raw(m: Rep) -> DtrData:
+    """The presentation of m, nu d1 and DTr M = ker(nu d1), memoized
+    (memo.memoized) on the module."""
     pres = min_presentation(m)
     nu_d1 = nakayama_of_projmap(pres.d1)
     ker, incl = kernel_of(nu_d1)

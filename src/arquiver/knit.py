@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Algebra
 from .homological import dtr, inj, proj, trd
+from .memo import memoized
 from .rep import Rep, is_indecomposable, iso
 
 
@@ -85,13 +86,22 @@ def enumerate_indec(
     return table
 
 
+@memoized
 def knit_cached(alg: Algebra, cap: int, direction: str) -> KnitTable:
-    """enumerate_indec, memoized on the algebra so the table lives as long
-    as the algebra does."""
-    key = (cap, direction)
-    if key not in alg._knit_cache:
-        alg._knit_cache[key] = enumerate_indec(alg, cap, direction)
-    return alg._knit_cache[key]
+    """enumerate_indec, memoized (memo.memoized) on the algebra so the table
+    lives as long as the algebra does."""
+    return enumerate_indec(alg, cap, direction)
+
+
+def knit_both_ends(alg: Algebra, cap: int) -> list:
+    """Members knitted from the projectives, then those knitted from the
+    injectives that are new up to isomorphism."""
+    members = []
+    for direction in ("from-projectives", "from-injectives"):
+        for m in knit_cached(alg, cap, direction).members:
+            if all(iso(m, x) is None for x in members):
+                members.append(m)
+    return members
 
 
 def is_kronecker(alg: Algebra) -> bool:

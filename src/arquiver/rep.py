@@ -8,6 +8,7 @@ Morphisms are one matrix per vertex subject to the commuting conditions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import sympy
 from . import linalg
 from .algebra import Algebra
 from .linalg import matmul
+from .memo import memoized
 
 DEFAULT_SEED = 1
 
@@ -46,6 +48,7 @@ class Rep:
     dims: tuple
     maps: dict  # arrow name -> matrix, shape dim_target x dim_source
     name: str = ""
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         alg = self.algebra
@@ -101,21 +104,6 @@ class Rep:
         for name in arrows:
             m = matmul(self.maps[name], m, self.p)
         return m
-
-    def evaluate_element(self, x: dict, src: int, tgt: int) -> np.ndarray:
-        """Action matrix M_tgt <- M_src of an algebra element supported on
-        paths src -> tgt."""
-        out = linalg.zeros(self.dim_at(tgt), self.dim_at(src))
-        for (s, arrows), c in x.items():
-            if s != src:
-                continue
-            m = (
-                linalg.eye(self.dim_at(src))
-                if not arrows
-                else self.evaluate_arrows(arrows)
-            )
-            out = (out + c * m) % self.p
-        return out
 
     def equal(self, other: "Rep") -> bool:
         return (
@@ -270,21 +258,18 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
     def flat_matrix(self) -> np.ndarray:
         """Columns = flattened basis maps."""
-        cached = getattr(self, "_flat", None)
-        if cached is not None:
-            return cached
-        n = sum(
-            self.target.dims[i] * self.source.dims[i]
-            for i in range(len(self.source.dims))
-        )
         if not self.basis:
-            self._flat = linalg.zeros(n, 0)
-        else:
-            self._flat = np.stack([f.flatten() for f in self.basis], axis=1)
-        return self._flat
+            n = sum(
+                self.target.dims[i] * self.source.dims[i]
+                for i in range(len(self.source.dims))
+            )
+            return linalg.zeros(n, 0)
+        return np.stack([f.flatten() for f in self.basis], axis=1)
 
+    @functools.cached_property
     def _solver(self):
         """(row selection, inverse of the selected square block).
 
@@ -292,18 +277,14 @@ class HomSpace:
         matrix is invertible; solving against it turns every coords call
         into a single matrix product.
         """
-        cached = getattr(self, "_solver_cache", None)
-        if cached is not None:
-            return cached
         p = self.source.p
-        a = self.flat_matrix()
+        a = self.flat_matrix
         _, pivots = linalg.rref(a.T, p)
         rows = list(pivots)
         binv = linalg.matrix_inverse(a[rows, :], p)
         if binv is None:
             raise RuntimeError("hom basis columns are dependent")
-        self._solver_cache = (rows, binv)
-        return self._solver_cache
+        return rows, binv
 
     def coords(self, f: RepMap):
         """Coefficients of f in the basis, or None if f is outside (it never is
@@ -311,9 +292,9 @@ class HomSpace:
         v = f.flatten() % self.source.p
         if not self.basis:
             return None if v.any() else np.zeros(0, dtype=np.int64)
-        rows, binv = self._solver()
+        rows, binv = self._solver
         c = linalg.matmul(binv, v[rows].reshape(-1, 1), self.source.p)[:, 0]
-        check = linalg.matmul(self.flat_matrix(), c.reshape(-1, 1), self.source.p)
+        check = linalg.matmul(self.flat_matrix, c.reshape(-1, 1), self.source.p)
         if not np.array_equal(check[:, 0], v):
             return None
         return c
@@ -326,27 +307,15 @@ class HomSpace:
         return f
 
 
+@memoized
 def hom_basis(m: Rep, n: Rep) -> HomSpace:
     """Solve the commuting conditions; basis ordered by kernel_basis order.
 
-    Results are memoized on the source module (keeping the target alive),
+    Memoized (memo.memoized) on the source module, keyed by the target,
     since verification sweeps ask for the same pair many times.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
-    cache = getattr(m, "_hom_cache", None)
-    if cache is None:
-        cache = {}
-        m._hom_cache = cache
-    hit = cache.get(id(n))
-    if hit is not None and hit[0] is n:
-        return hit[1]
-    hs = _hom_basis_raw(m, n)
-    cache[id(n)] = (n, hs)
-    return hs
-
-
-def _hom_basis_raw(m: Rep, n: Rep) -> HomSpace:
     p = m.p
     sizes = [n.dims[i] * m.dims[i] for i in range(len(m.dims))]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -536,7 +505,6 @@ class EndAlgebra:
         hs = hom_basis(m, m)
         self.basis = hs.basis
         self.dim = hs.dim
-        self._flat = hs.flat_matrix()
         self._hs = hs
         p = self.p
         e = self.dim
@@ -568,7 +536,7 @@ class EndAlgebra:
         struct = np.zeros((e, e, e), dtype=np.int64)
         if not e:
             return struct
-        rows, binv = self._hs._solver()
+        rows, binv = self._hs._solver
         stacks = [
             np.stack([b.blocks[v] for b in self.basis])
             for v in range(len(self.module.dims))
@@ -582,7 +550,7 @@ class EndAlgebra:
                 axis=1,
             )
             c = matmul(prods[:, rows], binv.T, p)
-            if not np.array_equal(matmul(c, self._flat.T, p), prods):
+            if not np.array_equal(matmul(c, self._hs.flat_matrix.T, p), prods):
                 raise ValueError("map is not an endomorphism coordinate")
             struct[i] = c
         return struct
@@ -663,14 +631,12 @@ class EndAlgebra:
         )
 
 
+@memoized
 def end_algebra(m: Rep) -> EndAlgebra:
-    """End(M), memoized on the module: the Hom(M, M) basis and the e**3
-    structure constants are the bulk of every indecomposability check."""
-    e = getattr(m, "_end_cache", None)
-    if e is None:
-        e = EndAlgebra(m)
-        m._end_cache = e
-    return e
+    """End(M), memoized (memo.memoized) on the module: the Hom(M, M) basis
+    and the e**3 structure constants are the bulk of every
+    indecomposability check."""
+    return EndAlgebra(m)
 
 
 def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
@@ -694,8 +660,10 @@ def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
 EXHAUSTIVE_END_LIMIT = 1 << 16
 
 
+@memoized
 def is_indecomposable(m: Rep) -> bool:
-    """Certify indecomposability via End(M)/rad.
+    """Certify indecomposability via End(M)/rad; memoized (memo.memoized)
+    on the module.
 
     Large p (p > dim End): radical of the trace form, then E/rad must be
     commutative with a 1-dimensional Frobenius fixed space.  Small p falls
@@ -703,23 +671,17 @@ def is_indecomposable(m: Rep) -> bool:
     """
     if m.is_zero:
         raise ZeroModuleError("the zero module is neither dec nor indecomposable")
-    cached = getattr(m, "_indec_cache", None)
-    if cached is not None:
-        return cached
     end = end_algebra(m)
     if m.p > end.dim:
         if not end.quotient_commutative():
-            m._indec_cache = False
             return False
         fr = end.frobenius_matrix()
         fixed = linalg.kernel_basis(
             (fr - linalg.eye(end.quotient_dim)) % m.p, m.p
         ).shape[1]
-        m._indec_cache = fixed == 1
-        return m._indec_cache
+        return fixed == 1
     if m.p ** end.dim <= EXHAUSTIVE_END_LIMIT:
-        m._indec_cache = not _exhaustive_idempotent_split(end)
-        return m._indec_cache
+        return not _exhaustive_idempotent_split(end)
     raise PrimeTooSmall(
         f"p={m.p} <= dim End = {end.dim}; rerun over a larger prime field"
     )
@@ -868,10 +830,10 @@ def _split_indecomposables(m: Rep, rng: random.Random):
     for (sub, incl), proj in zip(pieces, split_projections(m, pieces)):
         split = _split_indecomposables(sub, rng)
         if len(split) > 1:
-            # sub gives way to its summands; its cached End and Hom spaces
-            # refer back to it, so free them now, not at the next cyclic
-            # garbage collection
-            del sub._end_cache, sub._hom_cache
+            # sub gives way to its summands; its memoized End and Hom
+            # spaces refer back to it, so free them now, not at the next
+            # cyclic garbage collection
+            sub._memo.clear()
         for piece, sub_incl, sub_proj in split:
             out.append(
                 (piece, incl.compose(sub_incl), sub_proj.compose(proj))

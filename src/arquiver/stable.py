@@ -23,10 +23,8 @@ from .homological import (
     CosetSpace,
     DtrData,
     dtr_data,
-    inj,
     injective_envelope,
     nakayama_of_projmap,
-    nakayama_rep,
     projective_cover,
     random_module,
     second_step,

@@ -15,7 +15,7 @@ from arquiver.arseq import (
     theorem_harness,
     verify_ar_sequence,
 )
-from arquiver.homological import SES, dtr, proj
+from arquiver.homological import SES, ExtSpace, dtr, proj
 from arquiver.rep import (
     Rep,
     direct_sum,
@@ -140,6 +140,16 @@ def test_ar_end_in_subcat_whole(alg_a2, whole_a2):
     out = ar_end_in_subcat(simple(alg_a2, 1), whole_a2)
     assert out.status == "found"
     assert iso(out.ses.left, simple(alg_a2, 2)) is not None
+
+
+def test_ar_end_in_subcat_lets_realize_errors_through(alg_a2, whole_a2, monkeypatch):
+    # an internal error while realizing a class is a fault, not a verdict
+    def broken(self, coords):
+        raise RuntimeError("realize broke")
+
+    monkeypatch.setattr(ExtSpace, "realize", broken)
+    with pytest.raises(RuntimeError, match="realize broke"):
+        ar_end_in_subcat(simple(alg_a2, 1), whole_a2)
 
 
 def test_ar_end_hypothesis_not_satisfied(alg_a2):

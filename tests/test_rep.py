@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import linalg, rep
+from arquiver.homological import dtr_data, injective_envelope, proj, projective_cover
 from arquiver.rep import (
     EndAlgebra,
     Rep,
@@ -349,3 +350,41 @@ def test_rank_nullity_for_homs(m, n):
 def test_dual_double_dual(m):
     dd = dual(dual(m))
     assert dd.equal(m)
+
+
+# -- the memo ---------------------------------------------------------------
+
+
+def test_memo_returns_the_same_object(alg_a2, p1):
+    s1 = simple(alg_a2, 1)
+    assert hom_basis(p1, s1) is hom_basis(p1, s1)
+    assert rep.end_algebra(p1) is rep.end_algebra(p1)
+    assert projective_cover(s1) is projective_cover(s1)
+    assert injective_envelope(s1) is injective_envelope(s1)
+    assert dtr_data(s1) is dtr_data(s1)
+
+
+def test_memo_stores_nothing_when_the_call_raises(alg_a2, alg_kronecker):
+    zero = zero_rep(alg_a2)
+    for _ in range(2):
+        with pytest.raises(rep.ZeroModuleError):
+            is_indecomposable(zero)
+    assert zero._memo == {}
+    m, n = simple(alg_a2, 1), simple(alg_kronecker, 1)
+    for _ in range(2):
+        with pytest.raises(rep.AlgebraMismatch):
+            hom_basis(m, n)
+    assert m._memo == {}
+
+
+def test_memo_keys_modules_by_identity(alg_a2, p1):
+    s1, s1_again = simple(alg_a2, 1), simple(alg_a2, 1)
+    assert s1.equal(s1_again)
+    hs, hs_again = hom_basis(p1, s1), hom_basis(p1, s1_again)
+    assert hs is not hs_again
+    assert hs.target is s1 and hs_again.target is s1_again
+
+
+def test_memo_on_the_algebra(alg_kronecker):
+    assert proj(alg_kronecker, 1) is proj(alg_kronecker, 1)
+    assert proj(alg_kronecker, 1) is not proj(alg_kronecker, 2)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from arquiver import corpus, linalg
 from arquiver.homological import inj, proj
 from arquiver.knit import enumerate_indec
-from arquiver.rep import Rep, _hom_basis_raw, simple
+from arquiver.rep import Rep, hom_basis, simple
 
 BIG_PRIME = 3037000493  # largest kind of modulus accepted: (p-1)**2 < 2**63
 
@@ -240,7 +240,7 @@ def test_solve_matches_oracle_on_large_systems(blocked_calls):
 
 
 def hom_system(m, n, monkeypatch):
-    """The commuting system _hom_basis_raw hands to kernel_basis."""
+    """The commuting system hom_basis hands to kernel_basis."""
     seen = []
     original = linalg.kernel_basis
 
@@ -250,7 +250,7 @@ def hom_system(m, n, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "kernel_basis", capture)
-        _hom_basis_raw(m, n)
+        hom_basis.__wrapped__(m, n)
     return seen[0]
 
 
