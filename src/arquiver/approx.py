@@ -22,7 +22,6 @@ from .knit import knit_cached
 from .rep import (
     EndAlgebra,
     end_algebra,
-    PrimeTooSmall,
     Rep,
     RepMap,
     candidate_sweep,
@@ -360,11 +359,7 @@ def right_minimal_reduce(nu: RepMap) -> RepMap:
     if src.is_zero:
         return nu
     end = end_algebra(src)
-    p = src.p
-    if p <= end.dim:
-        raise PrimeTooSmall(
-            f"p={p} <= dim End = {end.dim}; right-minimal reduction needs p > dim End"
-        )
+    end.require_radical()
     w, a = _non_nilpotent_in_ideal(end, _annihilator(nu, end))
     if w is None:
         return nu

@@ -287,6 +287,8 @@ def _dispatch(args, out) -> int:
         _say_header(out, args)
         try:
             ses = ar_sequence_global(m, testset_cap=args.cap)
+        except PrimeTooSmall:
+            raise
         except (ValueError, RuntimeError) as exc:
             out.say(f"failed: {exc}")
             return EXIT_FAIL

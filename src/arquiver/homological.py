@@ -595,6 +595,7 @@ def ar_socle_classes(m: Rep, data: DtrData | None = None) -> tuple:
     end = end_algebra(m)
     if ext.dim == 0:
         return ext, []
+    end.require_radical()
     rad_cols = end.radical_coords
     if rad_cols.shape[1] == 0:
         return ext, ext.basis_classes()

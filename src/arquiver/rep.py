@@ -300,11 +300,9 @@ class HomSpace:
         return c
 
     def from_coords(self, coords) -> RepMap:
-        f = zero_map(self.source, self.target)
-        for c, b in zip(coords, self.basis):
-            if c % self.source.p:
-                f = f + b.scale(int(c))
-        return f
+        p = self.source.p
+        c = np.asarray(coords, dtype=np.int64) % p
+        return map_from_flat(self.source, self.target, matmul(self.flat_matrix, c, p))
 
 
 @memoized
@@ -491,12 +489,11 @@ def factor_through_right(g: RepMap, h: RepMap):
 
 
 class EndAlgebra:
-    """End(M) with structure constants, trace-form radical and quotient data.
+    """End(M) with its trace-form radical and quotient data.
 
-    struct[i, j] holds the coordinates of basis[i] . basis[j], filled with
-    one batched pass per basis element.  The radical is the radical of the
-    regular trace form tr(L_{xy}); this identifies rad End(M) whenever
-    p > dim End(M) (guarded by callers).
+    Products are compositions of maps, read back through the checked
+    `coords`.  `gram` is the regular trace form tr(L_{xy}) on the basis; its
+    radical is rad End(M) whenever p > dim End(M) (`require_radical`).
     """
 
     def __init__(self, m: Rep):
@@ -508,9 +505,7 @@ class EndAlgebra:
         self._hs = hs
         p = self.p
         e = self.dim
-        self.struct = self._structure_constants()
-        tr_l = np.trace(self.struct, axis1=1, axis2=2) % p
-        self.gram = matmul(self.struct, tr_l, p)
+        self.gram = self._trace_gram()
         self.radical_coords = linalg.kernel_basis(self.gram, p)
         self.radical_dim = self.radical_coords.shape[1]
         # complement coordinates: non-pivot indices of the radical row space
@@ -523,37 +518,41 @@ class EndAlgebra:
             i for i in range(e) if i not in self._rad_pivots
         ]
 
-    def _structure_constants(self) -> np.ndarray:
-        """struct[i] = coordinates of basis[i] . basis[j] for all j at once.
+    def _trace_gram(self) -> np.ndarray:
+        """gram[i, j] = tr(L_{b_i b_j}) for the basis maps b_i.
 
-        Per vertex, the basis blocks are stacked into an (e, d, d) array, so
-        one batched product gives every basis[i] . basis[j]; the flattened
-        products are solved against the cached row selection of the Hom
-        basis and checked to lie in its span, as coords does.
+        coords(f) = psi . flat(f), with psi (e x n) zero outside the solver
+        rows.  With B_k, Psi_k the vertex-v blocks of b_k and of row k of
+        psi, tr(L_x) = sum_v <X_v, Q_v> for Q_v = sum_k Psi_k B_k^T, so
+        gram[i, j] = sum_v <B_i, Q_v B_j^T>.
         """
         p = self.p
         e = self.dim
-        struct = np.zeros((e, e, e), dtype=np.int64)
+        gram = linalg.zeros(e, e)
         if not e:
-            return struct
+            return gram
         rows, binv = self._hs._solver
-        stacks = [
-            np.stack([b.blocks[v] for b in self.basis])
-            for v in range(len(self.module.dims))
-        ]
-        for i, b in enumerate(self.basis):
-            prods = np.concatenate(
-                [
-                    matmul(blk, stack, p).reshape(e, -1)
-                    for blk, stack in zip(b.blocks, stacks)
-                ],
-                axis=1,
+        psi = linalg.zeros(e, self._hs.flat_matrix.shape[0])
+        psi[:, rows] = binv
+        offsets = np.cumsum([0] + [d * d for d in self.module.dims])
+        for v, d in enumerate(self.module.dims):
+            blocks = np.stack([b.blocks[v] for b in self.basis])
+            bt = blocks.transpose(0, 2, 1)
+            psi_v = psi[:, offsets[v] : offsets[v + 1]].reshape(e, d, d)
+            q = matmul(
+                psi_v.transpose(1, 0, 2).reshape(d, e * d), bt.reshape(e * d, d), p
             )
-            c = matmul(prods[:, rows], binv.T, p)
-            if not np.array_equal(matmul(c, self._hs.flat_matrix.T, p), prods):
-                raise ValueError("map is not an endomorphism coordinate")
-            struct[i] = c
-        return struct
+            q_bt = matmul(q, bt, p).reshape(e, d * d)
+            gram = (gram + matmul(blocks.reshape(e, d * d), q_bt.T, p)) % p
+        return gram
+
+    def require_radical(self) -> None:
+        """Raise PrimeTooSmall unless p > dim End, where the trace-form
+        radical is rad End(M)."""
+        if self.p <= self.dim:
+            raise PrimeTooSmall(
+                f"p={self.p} <= dim End = {self.dim}; rerun over a larger prime field"
+            )
 
     def coords(self, f: RepMap) -> np.ndarray:
         c = self._hs.coords(f)
@@ -568,20 +567,18 @@ class EndAlgebra:
         return self.coords(identity_map(self.module))
 
     def multiply_coords(self, x, y) -> np.ndarray:
-        p = self.p
-        e = self.dim
-        x = np.asarray(x, dtype=np.int64) % p
-        y = np.asarray(y, dtype=np.int64) % p
-        left = matmul(x, self.struct.reshape(e, e * e), p).reshape(e, e)
-        return matmul(y, left, p)
+        return self.coords(self.from_coords(x).compose(self.from_coords(y)))
 
     def minpoly(self, w) -> list:
         """Minimal polynomial of an element given in coordinates: monic,
         coefficients in ascending degree."""
         p = self.p
-        powers = [self.identity_coords()]
+        wmap = self.from_coords(w)
+        power = identity_map(self.module)
+        powers = [self.coords(power)]
         while True:
-            nxt = self.multiply_coords(powers[-1], w)
+            power = power.compose(wmap)
+            nxt = self.coords(power)
             ok, c = linalg.in_span(np.stack(powers, axis=1), nxt, p)
             if ok:
                 return [(-int(ci)) % p for ci in c] + [1]
@@ -606,11 +603,11 @@ class EndAlgebra:
         return len(self.quotient_indices)
 
     def quotient_commutative(self) -> bool:
-        for i in self.quotient_indices:
-            for j in self.quotient_indices:
-                if j > i and not self.in_radical(self.struct[i, j] - self.struct[j, i]):
-                    return False
-        return True
+        b = self.basis
+        return all(
+            self.in_radical(self.coords(b[i].compose(b[j]) - b[j].compose(b[i])))
+            for i, j in itertools.combinations(self.quotient_indices, 2)
+        )
 
     def frobenius_matrix(self) -> np.ndarray:
         """Matrix of x -> x^p on End(M)/rad in quotient coordinates."""
@@ -634,8 +631,7 @@ class EndAlgebra:
 @memoized
 def end_algebra(m: Rep) -> EndAlgebra:
     """End(M), memoized (memo.memoized) on the module: the Hom(M, M) basis
-    and the e**3 structure constants are the bulk of every
-    indecomposability check."""
+    is the bulk of every indecomposability check."""
     return EndAlgebra(m)
 
 
@@ -652,7 +648,8 @@ def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
             continue
         if np.array_equal(v % p, ident % p):
             continue
-        if np.array_equal(end.multiply_coords(v, v), v % p):
+        f = end.from_coords(v)
+        if f.compose(f).equal(f):
             return True
     return False
 
@@ -672,19 +669,16 @@ def is_indecomposable(m: Rep) -> bool:
     if m.is_zero:
         raise ZeroModuleError("the zero module is neither dec nor indecomposable")
     end = end_algebra(m)
-    if m.p > end.dim:
-        if not end.quotient_commutative():
-            return False
-        fr = end.frobenius_matrix()
-        fixed = linalg.kernel_basis(
-            (fr - linalg.eye(end.quotient_dim)) % m.p, m.p
-        ).shape[1]
-        return fixed == 1
-    if m.p ** end.dim <= EXHAUSTIVE_END_LIMIT:
+    if m.p <= end.dim and m.p ** end.dim <= EXHAUSTIVE_END_LIMIT:
         return not _exhaustive_idempotent_split(end)
-    raise PrimeTooSmall(
-        f"p={m.p} <= dim End = {end.dim}; rerun over a larger prime field"
-    )
+    end.require_radical()
+    if not end.quotient_commutative():
+        return False
+    fr = end.frobenius_matrix()
+    fixed = linalg.kernel_basis(
+        (fr - linalg.eye(end.quotient_dim)) % m.p, m.p
+    ).shape[1]
+    return fixed == 1
 
 
 # -- decomposition ----------------------------------------------------------
@@ -883,7 +877,7 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
         f = hs.from_coords(w)
         if f.is_invertible():
             return f
-    # sound structural fallback
+    # sound fallback: split both sides and match the summands
     rng2 = random.Random(seed + 1)
     left = _split_indecomposables(m, rng2)
     right = list(_split_indecomposables(n, rng2))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from arquiver.approx import Subcat
@@ -120,6 +121,22 @@ def test_ar_sequence_global_kronecker_p2(alg_kronecker):
     parts = decompose(mid)
     assert len(parts) == 1 and parts[0].multiplicity == 2
     assert iso(parts[0].rep, proj(alg_kronecker, 1)) is not None
+
+
+def regular_kronecker(alg, n: int) -> Rep:
+    """R_n(0): both spaces of dimension n, a = I_n, b = the nilpotent Jordan
+    block."""
+    eye = np.eye(n, dtype=np.int64)
+    return Rep(alg, (n, n), {"a": eye, "b": np.eye(n, k=1, dtype=np.int64)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ar_sequence_global_kronecker_regular(alg_kronecker, n):
+    # no regular module is knitted, so only the almost-split checks decide
+    ses = ar_sequence_global(regular_kronecker(alg_kronecker, n))
+    assert iso(ses.left, regular_kronecker(alg_kronecker, n)) is not None
+    parts = [regular_kronecker(alg_kronecker, k) for k in (n - 1, n + 1) if k]
+    assert iso(ses.middle, direct_sum(parts)[0]) is not None
 
 
 def test_verify_ar_sequence_split_fails(alg_a2, whole_a2):

@@ -234,6 +234,30 @@ def test_guard_exit_code(kron_files, tmp_path, capsys):
     assert "guard:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "p, n, code",
+    [
+        (32003, 3, 0),  # a regular module: no knitted member, still found
+        (5, 3, 0),
+        (3, 3, 3),  # p <= dim End = 3: the trace-form radical is refused
+        (3, 11, 3),  # 3**11 > EXHAUSTIVE_END_LIMIT: indecomposability refused
+    ],
+)
+def test_ar_global_regular_kronecker(tmp_path, capsys, p, n, code):
+    alg = corpus.kronecker(p)
+    fileio.write_algebra(alg, str(tmp_path / "kron.alg"))
+    eye = np.eye(n, dtype=np.int64)
+    r_n = Rep(alg, (n, n), {"a": eye, "b": np.eye(n, k=1, dtype=np.int64)})
+    fileio.write_module(r_n, str(tmp_path / "r.mod"), name="R")
+    assert run(["ar-global", "--algebra", str(tmp_path / "kron.alg"),
+                "--module", str(tmp_path / "r.mod")]) == code
+    text = capsys.readouterr().out
+    if code == 0:
+        assert "morphism f" in text and "morphism g" in text
+    else:
+        assert "guard: p=3 <= dim End" in text
+
+
 def test_accept_runs_all(capsys):
     assert run(["accept"]) == 0
     text = capsys.readouterr().out
