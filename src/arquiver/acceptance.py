@@ -4,10 +4,13 @@ Each criterion returns a CriterionResult with a one-line verdict; run_all
 executes them in order, threading the sequences found by the theorem
 harnesses (criteria 5 and 6) into the duality criterion (7).  The CLI verb
 `accept` and tests/test_acceptance.py both call straight into this module.
+The suite builds its corpus once per process (`_corpus`), so the criteria
+share its knit tables, projectives and module memos.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -78,6 +81,7 @@ def corpus_indecomposables(alg, cap: int = FAMILY_CAP) -> list:
     return members
 
 
+@functools.cache
 def _corpus() -> dict:
     return corpus.corpus()
 
@@ -87,7 +91,7 @@ def _corpus() -> dict:
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
-        alg = corpus.a2()
+        alg = _corpus()["a2"]
         problems = []
         members = knit_cached(alg, 8, "from-projectives").members
         if len(members) != 3:
@@ -169,7 +173,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_4(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> CriterionResult:
     def run():
-        report = check_equiv_error_vs_stable(100, seed=seed)
+        report = check_equiv_error_vs_stable(100, seed=seed, algebras=_corpus())
         ok = report.passed and len(report.instances) == 100
         detail = f"{report.agreements}/100 agree (seed {seed})"
         artifacts = {}
@@ -217,7 +221,7 @@ def _emit_equiv_bundle(inst, seed: int, path: str) -> None:
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
-        alg = corpus.a3()
+        alg = _corpus()["a3"]
         indecs = corpus_indecomposables(alg)
         if len(indecs) != 6:
             return False, f"A3 has {len(indecs)} != 6 indecomposables", {}
@@ -267,7 +271,7 @@ def _kronecker_family(alg, kind: str) -> dict:
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
-        alg = corpus.kronecker()
+        alg = _corpus()["kronecker"]
         problems = []
         sequences = []
         pp = Subcat(alg, "postprojective", [], cap=FAMILY_CAP)
@@ -331,7 +335,7 @@ def criterion_7(
                     f"duality check failed for sequence ending at {ses.right.dims}"
                 )
         # preenvelopes via duality, re-verified directly on this side
-        alg = corpus.a3()
+        alg = _corpus()["a3"]
         sub = Subcat(alg, "finite", corpus_indecomposables(alg))
         env_checked = 0
         for l_mod in sub.members():
@@ -350,12 +354,12 @@ def criterion_7(
 def _default_sequences(seed: int) -> list:
     """Stand-alone sequence pool when criteria 5-6 artifacts are unavailable."""
     out = []
-    alg = corpus.a2()
+    alg = _corpus()["a2"]
     sub = Subcat(alg, "finite", corpus_indecomposables(alg))
     outcome = ar_end_in_subcat(simple(alg, 1), sub, seed=seed)
     if outcome.status == "found":
         out.append((sub, outcome.ses))
-    kron = corpus.kronecker()
+    kron = _corpus()["kronecker"]
     pp = Subcat(kron, "postprojective", [], cap=FAMILY_CAP)
     post = _kronecker_family(kron, "postprojective")
     outcome = ar_end_in_subcat(post[(2, 3)], pp, seed=seed)
@@ -374,12 +378,11 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         for name, alg in _corpus().items():
             indecs = corpus_indecomposables(alg)
             for m in indecs:
-                data = dtr_data(m)
-                pres = data.pres
+                dtr_m = dtr(m)
                 for n_mod in indecs:
                     pairs += 1
-                    lhs = ext1(m, n_mod, pres=pres).dim
-                    rhs = stable_hom(n_mod, data.rep, "inj").dim
+                    lhs = ext1(m, n_mod).dim
+                    rhs = stable_hom(n_mod, dtr_m, "inj").dim
                     if lhs != rhs:
                         problems.append(
                             f"{name}: ext1({m.dims},{n_mod.dims})={lhs} "

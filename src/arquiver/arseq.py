@@ -152,7 +152,7 @@ def left_almost_split(g: RepMap, testset: list) -> AlmostSplitReport:
 
 @dataclass
 class ARReport:
-    membership: tuple  # (left in sub, middle in sub, right in sub) or None
+    membership: tuple  # (left in sub, middle in sub, right in sub)
     right_report: AlmostSplitReport
     left_report: AlmostSplitReport
     testset_size: int
@@ -160,10 +160,8 @@ class ARReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.right_report.passed and self.left_report.passed
-        if self.membership is not None:
-            ok = ok and all(self.membership)
-        return ok
+        split = self.right_report.passed and self.left_report.passed
+        return split and all(self.membership)
 
 
 def verify_ar_sequence(s: SES, sub: Subcat, seed: int = DEFAULT_SEED) -> ARReport:
@@ -211,14 +209,9 @@ class AROutcome:
     diagnostics: str = ""
 
 
-def _eligible_end(m: Rep, sub: Subcat, pres=None) -> bool:
+def _eligible_end(m: Rep, sub: Subcat) -> bool:
     """Ext^1(M, G) != 0 for some member G."""
-    for g in sub.members():
-        ext = ext1(m, g, pres=pres)
-        pres = ext.pres
-        if ext.dim:
-            return True
-    return False
+    return any(ext1(m, g).dim for g in sub.members())
 
 
 def _eligible_start(l_mod: Rep, sub: Subcat) -> bool:
@@ -243,12 +236,12 @@ def ar_end_in_subcat(m: Rep, sub: Subcat, seed: int = DEFAULT_SEED) -> AROutcome
     if not contains(sub, m, seed=seed):
         return AROutcome("hypothesis-not-satisfied", diagnostics="M not in sub")
     data = dtr_data(m)
-    if not _eligible_end(m, sub, pres=data.pres):
+    if not _eligible_end(m, sub):
         return AROutcome(
             "hypothesis-not-satisfied",
             diagnostics="ext1(M, G) = 0 for every generator",
         )
-    ext_global, socle = ar_socle_classes(m, data)
+    ext_global, socle = ar_socle_classes(m)
     socle = [s for s in socle if s.any()]
     if not socle:
         return AROutcome("construction-failed", diagnostics="empty AR socle")
@@ -281,7 +274,7 @@ def ar_end_in_subcat(m: Rep, sub: Subcat, seed: int = DEFAULT_SEED) -> AROutcome
     for nu in candidates:
         if nu.source.is_zero:
             continue
-        ext_n = ext1(m, nu.source, pres=data.pres)
+        ext_n = ext1(m, nu.source)
         push = ext_n.pushforward_matrix(nu, ext_global)
         kernel = linalg.kernel_basis(push, m.p)
         for delta in socle:
@@ -396,7 +389,7 @@ def theorem_harness(
             )
             continue
         data = dtr_data(m)
-        eligible = _eligible_end(m, sub, pres=data.pres)
+        eligible = _eligible_end(m, sub)
         if not eligible:
             report.rows.append(
                 HarnessRow(name, m.dims, False, "n/a", "n/a", True)

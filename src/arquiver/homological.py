@@ -330,7 +330,9 @@ class Presentation:
     omega_epi: RepMap  # P1 -> omega
 
 
+@memoized
 def min_presentation(m: Rep) -> Presentation:
+    """Memoized (memo.memoized): DTr, Tr and every ext1(m, -) share it."""
     p0, aug = projective_cover(m)
     k, incl = kernel_of(aug)
     p1, c = projective_cover(k)
@@ -546,9 +548,9 @@ def _omega_lift(pres: Presentation, phi: RepMap) -> RepMap:
     return RepMap(pres.omega, pres.omega, tuple(blocks), check=False)
 
 
-def ext1(m: Rep, n: Rep, pres: Presentation | None = None) -> ExtSpace:
-    if pres is None:
-        pres = min_presentation(m)
+def ext1(m: Rep, n: Rep) -> ExtSpace:
+    """On the one presentation of m, as `pushforward_matrix` requires."""
+    pres = min_presentation(m)
     z = hom_basis(pres.omega, n)
     p0n = hom_basis(pres.p0.rep, n)
     if z.dim and p0n.dim:
@@ -583,15 +585,13 @@ def realize_extension(ext: ExtSpace, coords) -> SES:
 # -- AR extension candidates ------------------------------------------------
 
 
-def ar_socle_classes(m: Rep, data: DtrData | None = None) -> tuple:
+def ar_socle_classes(m: Rep) -> tuple:
     """(ExtSpace of (M, DTr M), basis of the socle under the End(M)-action).
 
     For M indecomposable and not projective the AR sequences are exactly
     the nonzero classes in this socle.
     """
-    if data is None:
-        data = dtr_data(m)
-    ext = ext1(m, data.rep, pres=data.pres)
+    ext = ext1(m, dtr(m))
     end = end_algebra(m)
     if ext.dim == 0:
         return ext, []

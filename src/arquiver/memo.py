@@ -1,10 +1,12 @@
 """One memo for the data derived from a module or an algebra.
 
-Hom spaces, End algebras, covers, envelopes, DTr data, projectives and
-knit tables are asked for many times over.  Each is computed once and kept
-in the `_memo` dict of its first argument, so it lives exactly as long as
-that object does.  Modules compare by identity (`Rep` is `eq=False`), so a
-module in a key is matched by identity and kept alive by the memo.
+Hom spaces, End algebras, covers, envelopes, presentations, DTr data,
+projectives and knit tables are asked for many times over.  Each is
+computed once and kept in the `_memo` dict of its first argument, so it
+lives exactly as long as that object does.  Modules compare by identity
+(`Rep` is `eq=False`), so a module in a key is matched by identity and kept
+alive by the memo.  Since every caller then shares one module, the arrays of
+`Rep` and `RepMap` are read-only.
 """
 
 from __future__ import annotations

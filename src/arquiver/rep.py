@@ -69,6 +69,7 @@ class Rep:
                 raise ValueError(
                     f"arrow {a.name!r} matrix has shape {m.shape}, expected {want}"
                 )
+            m.setflags(write=False)
             maps[a.name] = m
         self.maps = maps
         for rel in alg.relations:
@@ -146,6 +147,7 @@ class RepMap:
             want = (self.target.dim_at(v), self.source.dim_at(v))
             if b.shape != want:
                 raise ValueError(f"block at vertex {v} has shape {b.shape}, want {want}")
+            b.setflags(write=False)
             blocks.append(b)
         self.blocks = tuple(blocks)
         if self.check:
@@ -635,21 +637,32 @@ def end_algebra(m: Rep) -> EndAlgebra:
     return EndAlgebra(m)
 
 
+EXHAUSTIVE_CHUNK_ENTRIES = 1 << 20
+
+
 def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
     """True iff End contains a nontrivial idempotent (exhaustive search).
 
     Only feasible when p ** dim End is tiny; used as the small-field route.
+    Candidates go in chunks of about EXHAUSTIVE_CHUNK_ENTRIES map entries.
+    Vertex by vertex, one product with the flat basis gives the blocks of
+    the candidates still standing, and one stacked matmul tests f o f = f.
     """
-    p = end.p
+    p, e = end.p, end.dim
+    flat = end._hs.flat_matrix
     ident = end.identity_coords()
-    for coeffs in itertools.product(range(p), repeat=end.dim):
-        v = np.array(coeffs, dtype=np.int64)
-        if not v.any():
-            continue
-        if np.array_equal(v % p, ident % p):
-            continue
-        f = end.from_coords(v)
-        if f.compose(f).equal(f):
+    offsets = np.cumsum([0] + [d * d for d in end.module.dims])
+    place = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
+    chunk = max(1, EXHAUSTIVE_CHUNK_ENTRIES // max(1, flat.shape[0]))
+    for start in range(0, p**e, chunk):
+        index = np.arange(start, min(start + chunk, p**e), dtype=np.int64)
+        coeffs = index[:, None] // place % p  # the order of itertools.product
+        coeffs = coeffs[coeffs.any(axis=1) & (coeffs != ident).any(axis=1)]
+        for v, d in enumerate(end.module.dims):
+            rows = flat[offsets[v] : offsets[v + 1]]
+            f = matmul(coeffs, rows.T, p).reshape(len(coeffs), d, d)
+            coeffs = coeffs[(matmul(f, f, p) == f).all(axis=(1, 2))]
+        if len(coeffs):
             return True
     return False
 

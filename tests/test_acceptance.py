@@ -58,3 +58,46 @@ def test_criterion_7_duality(harness_artifacts):
 
 def test_criterion_8_ext_vs_stable_hom():
     _check(acceptance.criterion_8(), 60)
+
+
+@pytest.fixture(scope="module")
+def two_runs():
+    """Two run_all(1) calls in one process, the first on a fresh corpus,
+    counting the knit tables each one computes."""
+    from arquiver import knit
+
+    knits = []
+    original = knit.enumerate_indec
+
+    def counted(*args, **kwargs):
+        knits[-1] += 1
+        return original(*args, **kwargs)
+
+    acceptance._corpus.cache_clear()
+    mp = pytest.MonkeyPatch()
+    mp.setattr(knit, "enumerate_indec", counted)
+    try:
+        runs = []
+        for _ in range(2):
+            knits.append(0)
+            runs.append(acceptance.run_all(1))
+    finally:
+        mp.undo()
+    return runs, knits
+
+
+def test_one_corpus_per_process(two_runs):
+    _, knits = two_runs
+    # 11 distinct tables over the four corpus algebras; the second run
+    # finds all of them on the same corpus
+    assert knits == [11, 0]
+
+
+def test_second_run_gives_the_same_report(two_runs):
+    (first, second), _ = two_runs
+
+    def answers(results):
+        return [(r.index, r.title, r.passed, r.detail) for r in results]
+
+    assert all(r.passed for r in first)
+    assert answers(first) == answers(second)

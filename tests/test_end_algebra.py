@@ -7,14 +7,19 @@ EndAlgebra forms the same trace form from the basis blocks alone and must
 give the same gram matrix, radical and quotient indices bit for bit;
 products in End(M) are compositions of maps and are checked against the
 oracle's own constants.
+
+`reference_idempotent_split` is the per-candidate search that the batched
+small-field route `rep._exhaustive_idempotent_split` replaced; both must
+give the same verdict.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from arquiver import corpus, linalg
+from arquiver import corpus, linalg, rep
 from arquiver.homological import inj, proj
 from arquiver.knit import enumerate_indec
 from arquiver.rep import (
@@ -26,6 +31,7 @@ from arquiver.rep import (
     simple,
     zero_rep,
 )
+from test_arseq import regular_kronecker
 
 
 def reference_end_data(m: Rep):
@@ -151,8 +157,7 @@ def test_large_hidden_sum_matches_reference():
 @pytest.mark.parametrize("p", [5, 7])
 def test_small_field_sums_match_reference_and_split(p):
     # at p = 5 the two sums with dim End 5 and 6 have p <= dim End, so
-    # is_indecomposable takes the exhaustive idempotent search, which runs
-    # on multiply_coords
+    # is_indecomposable takes the exhaustive idempotent search
     rng = random.Random(p)
     kron, a3, lp = corpus.kronecker(p), corpus.a3(p), corpus.loop(p)
     cases = [
@@ -182,3 +187,45 @@ def test_multiply_coords_matches_composition(p):
             want = end.coords(end.from_coords(x).compose(end.from_coords(y)))
             assert np.array_equal(got, want)
             assert np.array_equal(got, reference_multiply(struct, x, y, p))
+
+
+def reference_idempotent_split(end: EndAlgebra) -> bool:
+    """True iff End has a nontrivial idempotent: one map per candidate."""
+    p = end.p
+    ident = end.identity_coords()
+    for coeffs in itertools.product(range(p), repeat=end.dim):
+        v = np.array(coeffs, dtype=np.int64)
+        if not v.any() or np.array_equal(v, ident):
+            continue
+        f = end.from_coords(v)
+        if f.compose(f).equal(f):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exhaustive_split_matches_per_candidate_search(p, monkeypatch):
+    # a small chunk makes the batched search cross chunk boundaries
+    monkeypatch.setattr(rep, "EXHAUSTIVE_CHUNK_ENTRIES", 64)
+    kron = corpus.kronecker(p)
+    # R_n(0), with dim End = n
+    regular = [regular_kronecker(kron, n) for n in range(1, 11)]
+    rng = random.Random(p)
+    mods = regular + [
+        direct_sum([regular[0], regular[0]])[0],
+        direct_sum([regular[0], regular[1]])[0],
+        hidden_sum([regular[1], simple(kron, 2)], rng),
+        hidden_sum([simple(kron, 1), simple(kron, 2)], rng),
+    ]
+    mods += [m for m in _corpus_modules(p) if not m.is_zero]
+    mods += _hidden_sums(p, 1, copies=1)
+    verdicts = []
+    for m in mods:
+        end = EndAlgebra(m)
+        if p**end.dim > 1 << 10:
+            continue
+        split = rep._exhaustive_idempotent_split(end)
+        assert split == reference_idempotent_split(end), m
+        verdicts.append((end.dim, split))
+    assert {split for _, split in verdicts} == {True, False}
+    assert max(dim for dim, _ in verdicts) >= 4

@@ -106,6 +106,16 @@ def test_min_presentation_projective(alg_a2):
     assert pres.omega.is_zero
 
 
+def test_one_presentation_per_module(alg_kronecker):
+    m = Rep(alg_kronecker, (1, 2), {"a": [[1], [0]], "b": [[0], [1]]})
+    pres = min_presentation(m)
+    assert min_presentation(m) is pres
+    assert dtr_data(m).pres is pres
+    a, b = simple(alg_kronecker, 2), proj(alg_kronecker, 2)
+    assert ext1(m, a).pres is pres
+    assert ext1(m, b).pres is pres
+
+
 def test_pathcoeffmap_roundtrip(alg_a3):
     ps1 = ProjSum(alg_a3, (3,))
     ps0 = ProjSum(alg_a3, (1,))
@@ -273,7 +283,8 @@ def test_random_modules_are_modules(alg_a3):
 def test_pushforward_zero_map_kills_classes(alg_a2):
     s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
     ext = ext1(s1, s2)
-    ext2 = ext1(s1, s2, pres=ext.pres)
+    ext2 = ext1(s1, s2)
+    assert ext2.pres is ext.pres
     mat = ext.pushforward_matrix(zero_map(s2, s2), ext2)
     assert not mat.any()
 
@@ -281,6 +292,7 @@ def test_pushforward_zero_map_kills_classes(alg_a2):
 def test_pushforward_identity_is_identity(alg_a2):
     s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
     ext = ext1(s1, s2)
-    ext2 = ext1(s1, s2, pres=ext.pres)
+    ext2 = ext1(s1, s2)
+    assert ext2.pres is ext.pres
     mat = ext.pushforward_matrix(identity_map(s2), ext2)
     assert np.array_equal(mat % s1.p, np.eye(ext.dim, dtype=np.int64))

@@ -73,6 +73,21 @@ def test_repmap_commuting_enforced(alg_a2, p1):
     assert not f.is_zero
 
 
+def test_module_and_map_arrays_are_read_only(alg_a2, p1):
+    given = np.array([[1]], dtype=np.int64)
+    m = Rep(alg_a2, (1, 1), {"a": given})
+    with pytest.raises(ValueError, match="read-only"):
+        m.maps["a"][0, 0] = 2
+    f = RepMap(m, p1, (given, given))
+    with pytest.raises(ValueError, match="read-only"):
+        f.block(1)[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        hom_basis(m, p1).basis[0].blocks[1] += 1
+    # the caller's array is copied, not frozen
+    given[0, 0] = 5
+    assert m.maps["a"][0, 0] == 1 and f.block(1)[0, 0] == 1
+
+
 def test_hom_coords_roundtrip(alg_a2, p1):
     hs = hom_basis(p1, p1)
     f = identity_map(p1).scale(7)
