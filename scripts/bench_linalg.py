@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
 """Time `linalg.rref` by matrix size and print the timings as one JSON object.
 
-Two families of inputs, all built from fixed seeds over F_32003:
+Three families of inputs, all built from fixed seeds over F_32003:
 
-* dense n x n matrices with uniform random entries, n in SIZES;
+* dense n x n matrices with uniform random entries, n in SIZES; the small
+  ones are the sizes of End and coordinate computations in the workloads;
 * the Hom(M, M) commuting system of the Kronecker postprojective P(k),
   k in KRON: once with P(k) in normal form (a = [I; 0], b = [0; I]), a
   sparse system, and once after a seeded change of basis at both vertices,
   which spreads every block.  The system is built here the way Hom systems
   are built in the package: per arrow a: s -> t, the rows
-  [kron(I, M_a^T) at vertex t | -kron(M_a, I) at vertex s] on vec(f).
+  [kron(I, M_a^T) at vertex t | -kron(M_a, I) at vertex s] on vec(f);
+* the Hom(M, M) system of P(k) + P(k) after a seeded change of basis,
+  k in PAIRS: 96 x 100 to 448 x 452, shapes the ar-family benchmark
+  workload solves (the middle terms of its AR sequences are P(k)^2).  On
+  these and on the small dense inputs much of the cost of rref is the
+  fixed cost of each pivot, not its arithmetic.
 
-Each input is timed REPEATS times.  Only the public `linalg` API is used,
-so the same script times any version of the package.  Run from the root of
-a checkout:
+Each input is timed REPEATS times; each time is the mean of as many calls
+as fill MIN_REPEAT_S, so small inputs are timed over many calls.  Only the
+public `linalg` API is used, so the same script times any version of the
+package.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/bench_linalg.py > timings.json
 """
@@ -30,9 +37,11 @@ import numpy as np
 from arquiver import linalg
 
 P = 32003
-SIZES = (64, 128, 256, 512, 1024)
+SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
 KRON = (12, 16, 24)
+PAIRS = (3, 4, 5, 6, 7)
 REPEATS = 3
+MIN_REPEAT_S = 0.05
 
 
 def dense(n: int, seed: int) -> np.ndarray:
@@ -69,19 +78,30 @@ def end_system(dims: tuple, maps: list) -> np.ndarray:
     return np.vstack(blocks) % P
 
 
+def twice(dims: tuple, maps: list) -> tuple:
+    """M + M for a Kronecker module M: each arrow block-diagonal."""
+    zero = np.zeros_like(maps[0])
+    return tuple(2 * d for d in dims), [np.block([[m, zero], [zero, m]]) for m in maps]
+
+
 def time_rref(m: np.ndarray) -> dict:
+    t0 = time.perf_counter()
+    _, pivots = linalg.rref(m, P)
+    number = max(1, int(MIN_REPEAT_S / max(time.perf_counter() - t0, 1e-6)))
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        _, pivots = linalg.rref(m, P)
-        times.append(time.perf_counter() - t0)
+        for _ in range(number):
+            linalg.rref(m, P)
+        times.append((time.perf_counter() - t0) / number)
     return {
         "shape": list(m.shape),
         "nonzeros": int(np.count_nonzero(m)),
         "rank": len(pivots),
         "repeats": REPEATS,
-        "median_s": round(statistics.median(times), 5),
-        "min_s": round(min(times), 5),
+        "calls_per_repeat": number,
+        "median_s": round(statistics.median(times), 6),
+        "min_s": round(min(times), 6),
     }
 
 
@@ -93,6 +113,10 @@ def main() -> int:
         dims, maps = kron_post(k)
         for label, ms in (("normal", maps), ("hidden", hidden(dims, maps, seed=k))):
             cases[f"End P({k}) {label}"] = time_rref(end_system(dims, ms))
+    for k in PAIRS:
+        dims, maps = twice(*kron_post(k))
+        ms = hidden(dims, maps, seed=100 + k)
+        cases[f"End P({k})+P({k}) hidden"] = time_rref(end_system(dims, ms))
     out = {
         "prime": P,
         "machine": f"{platform.machine()}, {os.cpu_count()} cores, Python "

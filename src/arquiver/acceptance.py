@@ -4,8 +4,9 @@ Each criterion returns a CriterionResult with a one-line verdict; run_all
 executes them in order, threading the sequences found by the theorem
 harnesses (criteria 5 and 6) into the duality criterion (7).  The CLI verb
 `accept` and tests/test_acceptance.py both call straight into this module.
-The suite builds its corpus once per process (`_corpus`), so the criteria
-share its knit tables, projectives and module memos.
+The suite builds its corpus once per seed (`_corpus`), so the criteria of
+one run share its knit tables, projectives and module memos, and keeps only
+the latest seed's corpus alive.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ def corpus_indecomposables(alg, cap: int = FAMILY_CAP) -> list:
     return members
 
 
-@functools.cache
-def _corpus() -> dict:
+@functools.lru_cache(maxsize=1)
+def _corpus(seed: int) -> dict:
+    """The corpus of one seed's run; the memos on it fill with that seed's
+    modules, so the next seed's run starts a new one and drops this one."""
     return corpus.corpus()
 
 
@@ -91,7 +94,7 @@ def _corpus() -> dict:
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
-        alg = _corpus()["a2"]
+        alg = _corpus(seed)["a2"]
         problems = []
         members = knit_cached(alg, 8, "from-projectives").members
         if len(members) != 3:
@@ -130,7 +133,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
         problems = []
         checked = 0
-        for name, alg in _corpus().items():
+        for name, alg in _corpus(seed).items():
             for m in corpus_indecomposables(alg):
                 tm = transpose(m)
                 if tm.is_zero:  # projective: no translate to compare
@@ -153,7 +156,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
         problems = []
         pairs = 0
-        for name, alg in _corpus().items():
+        for name, alg in _corpus(seed).items():
             injectives = [inj(alg, v) for v in range(1, alg.quiver.n + 1)]
             mods = corpus_indecomposables(alg)
             for u in injectives:
@@ -173,7 +176,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_4(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> CriterionResult:
     def run():
-        report = check_equiv_error_vs_stable(100, seed=seed, algebras=_corpus())
+        report = check_equiv_error_vs_stable(100, seed=seed, algebras=_corpus(seed))
         ok = report.passed and len(report.instances) == 100
         detail = f"{report.agreements}/100 agree (seed {seed})"
         artifacts = {}
@@ -221,7 +224,7 @@ def _emit_equiv_bundle(inst, seed: int, path: str) -> None:
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
-        alg = _corpus()["a3"]
+        alg = _corpus(seed)["a3"]
         indecs = corpus_indecomposables(alg)
         if len(indecs) != 6:
             return False, f"A3 has {len(indecs)} != 6 indecomposables", {}
@@ -271,7 +274,7 @@ def _kronecker_family(alg, kind: str) -> dict:
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
-        alg = _corpus()["kronecker"]
+        alg = _corpus(seed)["kronecker"]
         problems = []
         sequences = []
         pp = Subcat(alg, "postprojective", [], cap=FAMILY_CAP)
@@ -335,7 +338,7 @@ def criterion_7(
                     f"duality check failed for sequence ending at {ses.right.dims}"
                 )
         # preenvelopes via duality, re-verified directly on this side
-        alg = _corpus()["a3"]
+        alg = _corpus(seed)["a3"]
         sub = Subcat(alg, "finite", corpus_indecomposables(alg))
         env_checked = 0
         for l_mod in sub.members():
@@ -354,12 +357,12 @@ def criterion_7(
 def _default_sequences(seed: int) -> list:
     """Stand-alone sequence pool when criteria 5-6 artifacts are unavailable."""
     out = []
-    alg = _corpus()["a2"]
+    alg = _corpus(seed)["a2"]
     sub = Subcat(alg, "finite", corpus_indecomposables(alg))
     outcome = ar_end_in_subcat(simple(alg, 1), sub, seed=seed)
     if outcome.status == "found":
         out.append((sub, outcome.ses))
-    kron = _corpus()["kronecker"]
+    kron = _corpus(seed)["kronecker"]
     pp = Subcat(kron, "postprojective", [], cap=FAMILY_CAP)
     post = _kronecker_family(kron, "postprojective")
     outcome = ar_end_in_subcat(post[(2, 3)], pp, seed=seed)
@@ -375,7 +378,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
         problems = []
         pairs = 0
-        for name, alg in _corpus().items():
+        for name, alg in _corpus(seed).items():
             indecs = corpus_indecomposables(alg)
             for m in indecs:
                 dtr_m = dtr(m)

@@ -13,7 +13,13 @@ form:
 * the scalar pivot loop (`_pivot_loop`): one Gauss-Jordan step per pivot
   in int64, touching only the rows with a nonzero in the pivot column and
   only the columns from the pivot on.  It serves every modulus the rest of
-  the package accepts ((p-1)**2 < 2**63, so one product fits in int64);
+  the package accepts ((p-1)**2 < 2**63, so one product fits in int64).
+  Most inputs are small sparse Hom systems, where a pivot costs its numpy
+  calls rather than its arithmetic, so each pivot makes few of them: find
+  the pivot row among the nonzeros of one column view, swap it up, scale
+  it in place, read the rows to clear off the same column with the pivot
+  entry set to 0 for the moment, then one gathered update
+  block -= block[:, :1] * row and one `%` on those rows;
 * the blocked mode (`_blocked`), for matrices with at least
   BLOCKED_MIN_ENTRIES entries of which BLOCKED_MIN_NONZEROS are nonzero:
   the scalar loop eliminates a panel of PANEL columns, and the rest of the
@@ -98,20 +104,26 @@ def _pivot_loop(r: np.ndarray, p: int, pr: int = 0):
     for c in range(cols):
         if pr >= rows:
             break
-        nz = np.flatnonzero(r[pr:, c])
-        if nz.size == 0:
+        col = r[:, c]
+        nz = col[pr:].nonzero()[0]
+        if not nz.size:
             continue
         i = pr + int(nz[0])
         if i != pr:
             r[[pr, i]] = r[[i, pr]]
             swaps.append((pr, i))
-        if r[pr, c] != 1:
-            r[pr, c:] = r[pr, c:] * _inv_scalar(r[pr, c], p) % p
-        hit = np.flatnonzero(r[:, c])
-        hit = hit[hit != pr]
+        row = r[pr, c:]
+        lead = int(row[0])
+        if lead != 1:
+            row *= _inv_scalar(lead, p)
+            row %= p
+        # with the pivot entry at 0, the other rows to clear are the nonzeros
+        col[pr] = 0
+        hit = col.nonzero()[0]
+        col[pr] = 1
         if hit.size:
             block = r[hit, c:]
-            block -= np.outer(block[:, 0], r[pr, c:])
+            block -= block[:, :1] * row
             block %= p
             r[hit, c:] = block
             del block  # freed before the next pivot gathers its rows
@@ -222,9 +234,8 @@ def kernel_basis(m, p: int) -> np.ndarray:
 
     Column count = cols(m) - rank(m).  m @ result == 0 exactly.
     """
-    a = as_matrix(m, p)
-    cols = a.shape[1]
-    r, pivots = rref(a, p)
+    r, pivots = rref(m, p)
+    cols = r.shape[1]
     free = np.ones(cols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)

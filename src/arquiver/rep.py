@@ -311,6 +311,13 @@ class HomSpace:
 def hom_basis(m: Rep, n: Rep) -> HomSpace:
     """Solve the commuting conditions; basis ordered by kernel_basis order.
 
+    A hom f: M -> N is the blocks f_v (n_v x m_v), flattened row-major and
+    concatenated in vertex order.  Each arrow a: s -> t gives n_t * m_s
+    rows, row (i, j) reading (f_t M_a - N_a f_s)[i, j]: M_a[k, j] at column
+    (i, k) of f_t and -N_a[i, l] at column (l, j) of f_s; on a loop (s = t)
+    the two share their columns and add.  The entries stay in (-p, p); rref
+    reduces the system mod p once.
+
     Memoized (memo.memoized) on the source module, keyed by the target,
     since verification sweeps ask for the same pair many times.
     """
@@ -323,22 +330,16 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     rows = []
     for a in m.algebra.quiver.arrows:
         s, t = a.source, a.target
-        r = n.dim_at(t) * m.dim_at(s)
-        if r == 0:
+        n_t, m_t, n_s, m_s = n.dim_at(t), m.dim_at(t), n.dim_at(s), m.dim_at(s)
+        if n_t * m_s == 0:
             continue
-        block = linalg.zeros(r, total)
-        # row-major vec: vec(f_t @ M_a) = kron(I, M_a^T) vec(f_t)
-        if sizes[t - 1]:
-            block[:, offsets[t - 1] : offsets[t]] = np.kron(
-                linalg.eye(n.dim_at(t)), m.maps[a.name].T
-            )
-        # vec(N_a @ f_s) = kron(N_a, I) vec(f_s)
-        if sizes[s - 1]:
-            block[:, offsets[s - 1] : offsets[s]] = (
-                block[:, offsets[s - 1] : offsets[s]]
-                - np.kron(n.maps[a.name], linalg.eye(m.dim_at(s)))
-            ) % p
-        rows.append(block % p)
+        block = np.zeros((n_t, m_s, total), dtype=np.int64)
+        f_t = block[:, :, offsets[t - 1] : offsets[t]].reshape(n_t, m_s, n_t, m_t)
+        f_s = block[:, :, offsets[s - 1] : offsets[s]].reshape(n_t, m_s, n_s, m_s)
+        i, j = np.arange(n_t), np.arange(m_s)
+        f_t[i, :, i, :] = m.maps[a.name].T
+        f_s[:, j, :, j] -= n.maps[a.name]
+        rows.append(block.reshape(n_t * m_s, total))
     system = np.vstack(rows) if rows else linalg.zeros(0, total)
     kb = linalg.kernel_basis(system, p)
     basis = [map_from_flat(m, n, kb[:, j], check=False) for j in range(kb.shape[1])]
@@ -676,8 +677,9 @@ def is_indecomposable(m: Rep) -> bool:
     on the module.
 
     Large p (p > dim End): radical of the trace form, then E/rad must be
-    commutative with a 1-dimensional Frobenius fixed space.  Small p falls
-    back to exhaustive idempotent search when feasible, else raises.
+    F_p itself, or commutative with a 1-dimensional Frobenius fixed space.
+    Small p falls back to exhaustive idempotent search when feasible, else
+    raises.
     """
     if m.is_zero:
         raise ZeroModuleError("the zero module is neither dec nor indecomposable")
@@ -685,6 +687,8 @@ def is_indecomposable(m: Rep) -> bool:
     if m.p <= end.dim and m.p ** end.dim <= EXHAUSTIVE_END_LIMIT:
         return not _exhaustive_idempotent_split(end)
     end.require_radical()
+    if end.quotient_dim == 1:
+        return True
     if not end.quotient_commutative():
         return False
     fr = end.frobenius_matrix()

@@ -1,6 +1,9 @@
 """The eight acceptance criteria, one test (and one printed verdict line)
 each.  These are the CI gate; `arquiver accept` runs the same functions."""
 
+import gc
+import weakref
+
 import pytest
 
 from arquiver import acceptance
@@ -101,3 +104,15 @@ def test_second_run_gives_the_same_report(two_runs):
 
     assert all(r.passed for r in first)
     assert answers(first) == answers(second)
+
+
+def test_next_seed_frees_the_corpus():
+    # the memos of the corpus fill with one seed's modules; a run of the next
+    # seed builds its own corpus, and the old one goes with its memos
+    acceptance._corpus.cache_clear()
+    acceptance.criterion_1(1)
+    a2 = weakref.ref(acceptance._corpus(1)["a2"])
+    assert a2()._memo
+    acceptance.run_all(2)
+    gc.collect()
+    assert a2() is None

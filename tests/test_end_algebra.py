@@ -229,3 +229,57 @@ def test_exhaustive_split_matches_per_candidate_search(p, monkeypatch):
         verdicts.append((end.dim, split))
     assert {split for _, split in verdicts} == {True, False}
     assert max(dim for dim, _ in verdicts) >= 4
+
+
+def reference_is_indecomposable(m: Rep) -> bool:
+    """The verdict of is_indecomposable through the full large-p path: E/rad
+    commutative with a 1-dimensional Frobenius fixed space, even when
+    dim E/rad = 1."""
+    end = EndAlgebra(m)
+    p = m.p
+    if p <= end.dim and p**end.dim <= rep.EXHAUSTIVE_END_LIMIT:
+        return not rep._exhaustive_idempotent_split(end)
+    end.require_radical()
+    if not end.quotient_commutative():
+        return False
+    fr = end.frobenius_matrix()
+    fixed = linalg.kernel_basis((fr - linalg.eye(end.quotient_dim)) % p, p)
+    return fixed.shape[1] == 1
+
+
+def _verdict(fn, m):
+    try:
+        return fn(m)
+    except rep.PrimeTooSmall as exc:
+        return type(exc)
+
+
+def test_local_endomorphism_rings_skip_the_frobenius_test(monkeypatch):
+    def refuse(self):
+        raise AssertionError("frobenius_matrix called")
+
+    monkeypatch.setattr(EndAlgebra, "frobenius_matrix", refuse)
+    mods = [m for m in _corpus_modules(32003) if not m.is_zero]
+    ends = [rep.end_algebra(m) for m in mods]
+    # bricks (End = k) and a local End of dimension 2 (P1 over the loop)
+    assert sum(end.dim == 1 for end in ends) >= 20
+    assert any(end.dim == 2 and end.quotient_dim == 1 for end in ends)
+    for m in mods:
+        assert is_indecomposable(m)
+    kron = corpus.kronecker(32003)
+    split = hidden_sum([simple(kron, 1), simple(kron, 2)], random.Random(1))
+    with pytest.raises(AssertionError, match="frobenius_matrix called"):
+        is_indecomposable(split)
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_indecomposable_verdicts_match_full_path(p):
+    mods = [m for m in _corpus_modules(p) if not m.is_zero]
+    for seed in (1, 2):
+        mods += _hidden_sums(p, seed, copies=2)
+    verdicts = []
+    for m in mods:
+        want = _verdict(reference_is_indecomposable, m)
+        assert _verdict(is_indecomposable, m) == want, m
+        verdicts.append(want)
+    assert {True, False} <= set(verdicts)
