@@ -282,9 +282,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         for n in (2, 3, 4):
             m = post[(n, n + 1)]
             data = dtr_data(m)
-            nu, build = canonical_precover(pp, data.rep, "stable-inj")
-            if not build.stabilized:
-                problems.append(f"P({n}): contributing scan did not stabilize")
+            nu, _ = canonical_precover(pp, data.rep, "stable-inj")
             if not is_precover(nu, pp, "stable-inj").passed:
                 problems.append(f"P({n}): stable precover failed verification")
             outcome = ar_end_in_subcat(m, pp, seed=seed)

@@ -259,31 +259,24 @@ class Algebra:
         return [e for e in out if maxlen(e) <= L]
 
     def _reduce_basis(self, all_paths, span_elems):
-        """RREF the ideal span against columns ordered longest path first."""
+        """Reduce paths modulo the ideal span, columns ordered longest path
+        first: the pivot paths are dropped, the others form the basis."""
         p = self.p
         order = sorted(all_paths, key=lambda q: (-len(q[1]), q[1], q[0]))
         col_of = {q: i for i, q in enumerate(order)}
-        if span_elems:
-            m = linalg.zeros(len(span_elems), len(order))
-            for i, elem in enumerate(span_elems):
-                for path, c in elem.items():
-                    m[i, col_of[path]] = c % p
-            r, pivots = linalg.rref(m, p)
-        else:
-            r, pivots = linalg.zeros(0, len(order)), []
-        pivot_set = {order[c] for c in pivots}
-        basis = [q for q in order if q not in pivot_set]
-
+        m = linalg.zeros(len(order), len(span_elems))
+        for i, elem in enumerate(span_elems):
+            for path, c in elem.items():
+                m[col_of[path], i] = c % p
+        quot = linalg.Quotient(m, len(order), p)
+        pivot_set = {order[c] for c in quot.pivots}
+        basis = [order[c] for c in quot.indices]
         normal: dict[Path, dict[Path, int]] = {}
         for q in all_paths:
             vec = linalg.zeros(len(order), 1)[:, 0]
             vec[col_of[q]] = 1
-            for i, pc in enumerate(pivots):
-                if vec[pc]:
-                    vec = (vec - vec[pc] * r[i]) % p
-            normal[q] = {
-                order[j]: int(vec[j]) for j in np.nonzero(vec)[0]
-            }
+            vec = quot.reduce(vec)
+            normal[q] = {order[j]: int(vec[j]) for j in np.nonzero(vec)[0]}
         return basis, normal, pivot_set
 
     def _finish(self, basis, normal):

@@ -37,7 +37,7 @@ from .rep import (
     zero_map,
     zero_rep,
 )
-from .stable import stable_hom
+from .stable import CoverReport, cover_report, precover_cases, stable_hom
 
 DEFAULT_SEED = 1
 AUDIT_RANDOM_CLASSES = 32
@@ -178,7 +178,6 @@ def audit_extension_closed(
 @dataclass
 class BuildReport:
     contributing: list  # (generator, dim used)
-    stabilized: bool
     cap: int
     # inclusion of each indecomposable copy of the source, grouped per
     # contributing generator; spares callers a re-decomposition
@@ -203,22 +202,20 @@ def canonical_precover(
             maps = list(hom_basis(g, t).basis)
         else:
             sh = stable_hom(g, t, "inj")
-            maps = [sh.rep_for(q) for q in linalg.eye(sh.dim)]
+            maps = [sh.from_coords(q) for q in linalg.eye(sh.dim)]
         if maps:
             pieces.append((g, maps))
             contributing.append((g, len(maps)))
-    stabilized = True
     if sub.kind != "finite" and members:
-        # the family list is capped; the scan is stabilized when the largest
-        # members contribute nothing
+        # the family list is capped; the scan has stabilized only when the
+        # largest members contribute nothing
         top = max(m.total_dim for m in members)
         tail = [g for g in members if g.total_dim == top]
         if any(any(iso(g, cg) is not None for cg, _ in contributing) for g in tail):
-            stabilized = False
             raise CapExceeded(
                 "largest family members still contribute; raise the cap"
             )
-    report = BuildReport(contributing, stabilized, sub.cap)
+    report = BuildReport(contributing, sub.cap)
     if not pieces:
         return zero_map(zero_rep(sub.algebra), t), report
     summands = []
@@ -240,67 +237,33 @@ def canonical_precover(
     return nu, report
 
 
-@dataclass
-class ApproxReport:
-    kind: str
-    passed: bool
-    failures: list = field(default_factory=list)  # (generator, witness map)
-    detail: list = field(default_factory=list)  # (generator, covered, total)
-
-
-def is_precover(nu: RepMap, sub: Subcat, variant: str = "plain") -> ApproxReport:
+def is_precover(nu: RepMap, sub: Subcat, variant: str = "plain") -> CoverReport:
     """Every (stable) map G -> target factors through nu, per generator."""
+    if variant not in ("plain", "stable-inj"):
+        raise ValueError("variant must be 'plain' or 'stable-inj'")
     t = nu.target
-    p = t.p
-    report = ApproxReport(f"precover-{variant}", True)
-    for g in sub.members():
-        if variant == "plain":
-            hs = hom_basis(g, t)
-            total = hs.dim
-            through = hom_basis(g, nu.source)
-            cols = [hs.coords(nu.compose(phi)) for phi in through.basis]
-            mat = np.stack(cols, axis=1) if cols else linalg.zeros(total, 0)
-            to_map = hs.from_coords
-        else:
-            sh = stable_hom(g, t, "inj")
-            total = sh.dim
-            through = hom_basis(g, nu.source)
-            cols = [sh.class_of(nu.compose(phi)) for phi in through.basis]
-            mat = np.stack(cols, axis=1) if cols else linalg.zeros(total, 0)
-            to_map = sh.rep_for
-        covered = linalg.rank(mat, p)
-        report.detail.append((g, covered, total))
-        if covered < total:
-            report.passed = False
-            report.failures.append((g, to_map(linalg.first_unit_outside_span(mat, p))))
-    return report
+
+    def space_of(g):
+        return hom_basis(g, t) if variant == "plain" else stable_hom(g, t, "inj")
+
+    return cover_report(
+        f"precover-{variant}", precover_cases(nu, sub.members(), space_of)
+    )
 
 
-def is_preenvelope(mu: RepMap, sub: Subcat, variant: str = "plain") -> ApproxReport:
+def is_preenvelope(mu: RepMap, sub: Subcat, variant: str = "plain") -> CoverReport:
     """Every (stable) map source -> G factors through mu, per generator."""
+    if variant not in ("plain", "stable-proj"):
+        raise ValueError("variant must be 'plain' or 'stable-proj'")
     s = mu.source
-    p = s.p
-    report = ApproxReport(f"preenvelope-{variant}", True)
-    for g in sub.members():
-        if variant == "plain":
-            hs = hom_basis(s, g)
-            total = hs.dim
+
+    def cases():
+        for g in sub.members():
+            space = hom_basis(s, g) if variant == "plain" else stable_hom(s, g, "proj")
             through = hom_basis(mu.target, g)
-            cols = [hs.coords(phi.compose(mu)) for phi in through.basis]
-            to_map = hs.from_coords
-        else:
-            sh = stable_hom(s, g, "proj")
-            total = sh.dim
-            through = hom_basis(mu.target, g)
-            cols = [sh.class_of(phi.compose(mu)) for phi in through.basis]
-            to_map = sh.rep_for
-        mat = np.stack(cols, axis=1) if cols else linalg.zeros(total, 0)
-        covered = linalg.rank(mat, p)
-        report.detail.append((g, covered, total))
-        if covered < total:
-            report.passed = False
-            report.failures.append((g, to_map(linalg.first_unit_outside_span(mat, p))))
-    return report
+            yield g, space, space.coords_of([phi.compose(mu) for phi in through.basis])
+
+    return cover_report(f"preenvelope-{variant}", cases())
 
 
 # -- right-minimal reduction ------------------------------------------------
@@ -326,7 +289,7 @@ def _non_nilpotent_in_ideal(end, v_basis):
         return None, None
     saw_non_radical = False
     for w in candidate_sweep(v_basis, random.Random(17), end.p):
-        if end.in_radical(w):
+        if end.quotient.contains(w):
             continue
         saw_non_radical = True
         mp = end.minpoly(w)
@@ -382,10 +345,7 @@ def right_minimality_certificate(nu: RepMap) -> bool:
     if src.is_zero:
         return True
     end = end_algebra(src)
-    v_basis = _annihilator(nu, end)
-    return all(
-        end.in_radical(v_basis[:, j]) for j in range(v_basis.shape[1])
-    )
+    return end.quotient.contains(_annihilator(nu, end))
 
 
 # -- duality ----------------------------------------------------------------

@@ -374,9 +374,7 @@ def _module_label(m: Rep, index: int) -> str:
     return f"{base}{list(m.dims)}".replace(" ", "")
 
 
-def theorem_harness(
-    sub: Subcat, direction: str = "both", seed: int = DEFAULT_SEED
-) -> HarnessReport:
+def theorem_harness(sub: Subcat, seed: int = DEFAULT_SEED) -> HarnessReport:
     """Per eligible member M: decide (i) 'DTr M has a stable precover in sub'
     and (ii) 'an AR sequence ending at M exists in sub', and assert the
     biconditional row by row."""
@@ -395,14 +393,12 @@ def theorem_harness(
                 HarnessRow(name, m.dims, False, "n/a", "n/a", True)
             )
             continue
-        i_verdict = "undecided"
-        if direction in ("both", "i-to-ii", "ii-to-i"):
-            try:
-                nu, _ = canonical_precover(sub, data.rep, "stable-inj")
-                ok = is_precover(nu, sub, "stable-inj").passed
-                i_verdict = "pass" if ok else "fail"
-            except CapExceeded:
-                i_verdict = "undecided"
+        try:
+            nu, _ = canonical_precover(sub, data.rep, "stable-inj")
+            ok = is_precover(nu, sub, "stable-inj").passed
+            i_verdict = "pass" if ok else "fail"
+        except CapExceeded:
+            i_verdict = "undecided"
         outcome = ar_end_in_subcat(m, sub, seed=seed)
         if outcome.status == "found":
             ii_verdict = "pass"
@@ -411,9 +407,7 @@ def theorem_harness(
         else:
             ii_verdict = "fail"
         agree = (
-            i_verdict == "undecided"
-            or ii_verdict == "undecided"
-            or (i_verdict == "pass") == (ii_verdict == "pass")
+            i_verdict == "undecided" or (i_verdict == "pass") == (ii_verdict == "pass")
         )
         report.rows.append(
             HarnessRow(name, m.dims, True, i_verdict, ii_verdict, agree, outcome.ses)

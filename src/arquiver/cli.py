@@ -233,10 +233,7 @@ def _dispatch(args, out) -> int:
         nu, build = canonical_precover(sub, t, args.variant)
         report = is_precover(nu, sub, args.variant)
         _say_header(out, args)
-        out.say(
-            f"contributing = {[(g.dims, d) for g, d in build.contributing]}; "
-            f"stabilized = {str(build.stabilized).lower()}"
-        )
+        out.say(f"contributing = {[(g.dims, d) for g, d in build.contributing]}")
         out.say(f"precover verified = {str(report.passed).lower()}")
         _say_module(out, nu.source, "N")
         return EXIT_PASS if report.passed else EXIT_FAIL

@@ -6,6 +6,9 @@ identified with the span of basis paths v -> w acting by right
 multiplication.  Maps between sums of projectives are therefore stored as
 matrices of algebra elements (PathCoeffMap), which is what makes the
 transpose and the Nakayama functor computable by reversing paths.
+
+Ext^1(M, N) is Hom(Omega M, N) modulo the restrictions of Hom(P0, N), kept
+as a rep.HomQuotient (`ExtSpace.classes`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .linalg import matmul
 from .memo import memoized
 from .rep import (
     end_algebra,
+    HomQuotient,
     Rep,
     RepMap,
     direct_sum,
@@ -27,6 +31,7 @@ from .rep import (
     dual_map,
     factor_through_left,
     hom_basis,
+    hom_quotient,
     identity_map,
     image_of,
     kernel_of,
@@ -441,42 +446,6 @@ class SES:
 # -- Ext^1 ------------------------------------------------------------------
 
 
-class CosetSpace:
-    """Coordinates on a quotient V / U of coefficient spaces.
-
-    U is given by spanning columns; coset representatives zero out the
-    pivot coordinates, and the surviving (non-pivot) coordinates are the
-    quotient coordinates.
-    """
-
-    def __init__(self, sub_cols: np.ndarray, ambient_dim: int, p: int):
-        self.p = p
-        self.ambient_dim = ambient_dim
-        if sub_cols.size:
-            r, piv = linalg.rref(sub_cols.T, p)
-            self._rows, self._pivots = r, piv
-        else:
-            self._rows, self._pivots = linalg.zeros(0, ambient_dim), []
-        self.indices = [i for i in range(ambient_dim) if i not in self._pivots]
-        self.dim = len(self.indices)
-
-    def reduce(self, v) -> np.ndarray:
-        x = np.asarray(v, dtype=np.int64) % self.p
-        for i, pc in enumerate(self._pivots):
-            if x[pc]:
-                x = (x - x[pc] * self._rows[i]) % self.p
-        return x
-
-    def to_coords(self, v) -> np.ndarray:
-        return self.reduce(v)[self.indices]
-
-    def lift(self, q) -> np.ndarray:
-        v = np.zeros(self.ambient_dim, dtype=np.int64)
-        for qi, i in enumerate(self.indices):
-            v[i] = int(q[qi]) % self.p
-        return v
-
-
 @dataclass(eq=False)
 class ExtSpace:
     """Ext^1(M, N) = Hom(Omega M, N) / restrictions from P0."""
@@ -484,51 +453,36 @@ class ExtSpace:
     source: Rep  # M
     target: Rep  # N
     pres: Presentation
-    cocycles: object  # HomSpace(Omega, N)
-    coset: CosetSpace
+    classes: HomQuotient  # cocycles Hom(Omega, N) modulo the restrictions
 
     @property
     def dim(self) -> int:
-        return self.coset.dim
+        return self.classes.dim
 
     def cocycle_for(self, coords) -> RepMap:
-        return self.cocycles.from_coords(self.coset.lift(coords))
+        return self.classes.from_coords(coords)
 
     def class_of(self, w: RepMap) -> np.ndarray:
-        c = self.cocycles.coords(w)
-        if c is None:
-            raise ValueError("not a cocycle for this presentation")
-        return self.coset.to_coords(c)
+        return self.classes.class_of(w)
 
     def basis_classes(self) -> list:
-        out = []
-        for i in range(self.dim):
-            q = np.zeros(self.dim, dtype=np.int64)
-            q[i] = 1
-            out.append(q)
-        return out
+        return list(linalg.eye(self.dim))
 
     def realize(self, coords) -> SES:
         return realize_extension(self, coords)
 
     def pushforward_matrix(self, g: RepMap, ext2: "ExtSpace") -> np.ndarray:
         """Matrix of g_*: Ext^1(M, N) -> Ext^1(M, N') in class coordinates."""
-        cols = [
-            ext2.class_of(g.compose(self.cocycle_for(q)))
-            for q in self.basis_classes()
-        ]
-        return (
-            np.stack(cols, axis=1) if cols else linalg.zeros(ext2.dim, 0)
+        return ext2.classes.coords_of(
+            [g.compose(self.cocycle_for(q)) for q in self.basis_classes()]
         )
 
     def end_action_matrix(self, phi: RepMap) -> np.ndarray:
         """Matrix of the right End(M)-action [w] -> [w . Omega(phi)]."""
         omega_phi = _omega_lift(self.pres, phi)
-        cols = [
-            self.class_of(self.cocycle_for(q).compose(omega_phi))
-            for q in self.basis_classes()
-        ]
-        return np.stack(cols, axis=1) if cols else linalg.zeros(self.dim, 0)
+        return self.classes.coords_of(
+            [self.cocycle_for(q).compose(omega_phi) for q in self.basis_classes()]
+        )
 
 
 def _omega_lift(pres: Presentation, phi: RepMap) -> RepMap:
@@ -549,18 +503,13 @@ def _omega_lift(pres: Presentation, phi: RepMap) -> RepMap:
 
 
 def ext1(m: Rep, n: Rep) -> ExtSpace:
-    """On the one presentation of m, as `pushforward_matrix` requires."""
+    """On the one presentation of m, as `pushforward_matrix` requires.
+    Hom(P0, N) is skipped when there are no cocycles to restrict to."""
     pres = min_presentation(m)
     z = hom_basis(pres.omega, n)
-    p0n = hom_basis(pres.p0.rep, n)
-    if z.dim and p0n.dim:
-        cols = np.stack(
-            [z.coords(psi.compose(pres.omega_incl)) for psi in p0n.basis], axis=1
-        )
-    else:
-        cols = linalg.zeros(z.dim, 0)
-    coset = CosetSpace(cols, z.dim, m.p)
-    return ExtSpace(m, n, pres, z, coset)
+    p0n = hom_basis(pres.p0.rep, n).basis if z.dim else []
+    restrictions = [psi.compose(pres.omega_incl) for psi in p0n]
+    return ExtSpace(m, n, pres, hom_quotient(z, restrictions))
 
 
 def realize_extension(ext: ExtSpace, coords) -> SES:

@@ -31,6 +31,10 @@ form:
   float sums are converted to int64 and reduced with the integer `%`,
   which is exact and much faster here than `np.fmod` on float64; nothing
   is rounded through `floor(x / p)`.
+
+`Quotient` gives coordinates on a quotient space V / U, the one way the
+package writes "modulo a subspace": End(M)/rad, stable Hom, Ext^1 and the
+normal forms of paths modulo the relations all use it.
 """
 
 from __future__ import annotations
@@ -362,3 +366,46 @@ def same_span(a, b, p: int) -> bool:
     ra = rank(am, p)
     rb = rank(bm, p)
     return ra == rb == rank(np.hstack([am, bm]), p)
+
+
+class Quotient:
+    """Coordinates on V / U, V = F_p^n and U spanned by the columns of sub_cols.
+
+    The canonical representative of a coset clears the pivot coordinates of
+    the rref of U; the other coordinates (`indices`, in increasing order) are
+    the quotient coordinates.  `reduce`, `contains`, `to_coords` and `lift`
+    take a vector or a matrix whose columns are vectors.
+    """
+
+    def __init__(self, sub_cols, n: int, p: int):
+        self.p = p
+        self.n = n
+        if np.size(sub_cols):
+            self._rows, self.pivots = rref(np.asarray(sub_cols).T, p)
+        else:
+            self._rows, self.pivots = zeros(0, n), []
+        pivots = set(self.pivots)
+        self.indices = [i for i in range(n) if i not in pivots]
+        self.dim = len(self.indices)
+
+    def reduce(self, v) -> np.ndarray:
+        """The canonical representative of v + U (of each column of v)."""
+        x = np.asarray(v, dtype=np.int64) % self.p
+        for row, pc in zip(self._rows, self.pivots):
+            if x[pc].any():
+                x = (x - np.multiply.outer(row, x[pc])) % self.p
+        return x
+
+    def contains(self, v) -> bool:
+        """Whether v (every column of v) lies in U."""
+        return not self.reduce(v).any()
+
+    def to_coords(self, v) -> np.ndarray:
+        return self.reduce(v)[self.indices]
+
+    def lift(self, q) -> np.ndarray:
+        """The canonical representative with quotient coordinates q."""
+        q = np.asarray(q, dtype=np.int64)
+        v = np.zeros((self.n,) + q.shape[1:], dtype=np.int64)
+        v[self.indices] = q % self.p
+        return v

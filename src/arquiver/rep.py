@@ -291,14 +291,27 @@ class HomSpace:
     def coords(self, f: RepMap):
         """Coefficients of f in the basis, or None if f is outside (it never is
         for a genuine hom)."""
-        v = f.flatten() % self.source.p
-        if not self.basis:
-            return None if v.any() else np.zeros(0, dtype=np.int64)
-        rows, binv = self._solver
-        c = linalg.matmul(binv, v[rows].reshape(-1, 1), self.source.p)[:, 0]
-        check = linalg.matmul(self.flat_matrix, c.reshape(-1, 1), self.source.p)
-        if not np.array_equal(check[:, 0], v):
+        try:
+            return self.coords_of([f])[:, 0]
+        except ValueError:
             return None
+
+    def coords_of(self, maps) -> np.ndarray:
+        """Coefficients of the maps as the columns of one matrix: one product
+        through the solver, one product to verify; raises ValueError if a
+        map lies outside the space."""
+        p = self.source.p
+        if not maps:
+            return linalg.zeros(self.dim, 0)
+        v = np.stack([f.flatten() for f in maps], axis=1) % p
+        if not self.basis:
+            if v.any():
+                raise ValueError("map lies outside this Hom space")
+            return linalg.zeros(0, v.shape[1])
+        rows, binv = self._solver
+        c = matmul(binv, v[rows], p)
+        if not np.array_equal(matmul(self.flat_matrix, c, p), v):
+            raise ValueError("map lies outside this Hom space")
         return c
 
     def from_coords(self, coords) -> RepMap:
@@ -344,6 +357,39 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     kb = linalg.kernel_basis(system, p)
     basis = [map_from_flat(m, n, kb[:, j], check=False) for j in range(kb.shape[1])]
     return HomSpace(m, n, basis)
+
+
+@dataclass(eq=False)
+class HomQuotient:
+    """A Hom space modulo a subspace: stable Hom, Ext^1 as cocycles modulo
+    coboundaries.  It answers `dim`, `coords_of`, `from_coords` as a
+    HomSpace does, in class coordinates (those of `quotient`)."""
+
+    hom: HomSpace
+    quotient: linalg.Quotient
+
+    @property
+    def dim(self) -> int:
+        return self.quotient.dim
+
+    @property
+    def ideal_dim(self) -> int:
+        return self.hom.dim - self.quotient.dim
+
+    def coords_of(self, maps) -> np.ndarray:
+        return self.quotient.to_coords(self.hom.coords_of(maps))
+
+    def class_of(self, f: RepMap) -> np.ndarray:
+        return self.coords_of([f])[:, 0]
+
+    def from_coords(self, coords) -> RepMap:
+        """The map whose Hom coordinates are the canonical lift of a class."""
+        return self.hom.from_coords(self.quotient.lift(coords))
+
+
+def hom_quotient(hs: HomSpace, maps: list) -> HomQuotient:
+    """hs modulo the span of maps (each in hs)."""
+    return HomQuotient(hs, linalg.Quotient(hs.coords_of(maps), hs.dim, hs.source.p))
 
 
 def dual(m: Rep) -> Rep:
@@ -492,7 +538,7 @@ def factor_through_right(g: RepMap, h: RepMap):
 
 
 class EndAlgebra:
-    """End(M) with its trace-form radical and quotient data.
+    """End(M) with its trace-form radical and End(M)/rad (`quotient`).
 
     Products are compositions of maps, read back through the checked
     `coords`.  `gram` is the regular trace form tr(L_{xy}) on the basis; its
@@ -506,20 +552,11 @@ class EndAlgebra:
         self.basis = hs.basis
         self.dim = hs.dim
         self._hs = hs
-        p = self.p
-        e = self.dim
         self.gram = self._trace_gram()
-        self.radical_coords = linalg.kernel_basis(self.gram, p)
+        self.radical_coords = linalg.kernel_basis(self.gram, self.p)
         self.radical_dim = self.radical_coords.shape[1]
-        # complement coordinates: non-pivot indices of the radical row space
-        if self.radical_dim:
-            rr, piv = linalg.rref(self.radical_coords.T, p)
-            self._rad_rref, self._rad_pivots = rr, piv
-        else:
-            self._rad_rref, self._rad_pivots = linalg.zeros(0, e), []
-        self.quotient_indices = [
-            i for i in range(e) if i not in self._rad_pivots
-        ]
+        # End(M)/rad, in the coordinates the rref of the radical leaves free
+        self.quotient = linalg.Quotient(self.radical_coords, self.dim, self.p)
 
     def _trace_gram(self) -> np.ndarray:
         """gram[i, j] = tr(L_{b_i b_j}) for the basis maps b_i.
@@ -587,48 +624,26 @@ class EndAlgebra:
                 return [(-int(ci)) % p for ci in c] + [1]
             powers.append(nxt)
 
-    def reduce_mod_radical(self, coords) -> np.ndarray:
-        v = np.asarray(coords, dtype=np.int64) % self.p
-        for i, pc in enumerate(self._rad_pivots):
-            if v[pc]:
-                v = (v - v[pc] * self._rad_rref[i]) % self.p
-        return v
-
-    def in_radical(self, coords) -> bool:
-        return not self.reduce_mod_radical(coords).any()
-
-    def quotient_coords(self, coords) -> np.ndarray:
-        v = self.reduce_mod_radical(coords)
-        return v[self.quotient_indices]
-
-    @property
-    def quotient_dim(self) -> int:
-        return len(self.quotient_indices)
-
     def quotient_commutative(self) -> bool:
         b = self.basis
         return all(
-            self.in_radical(self.coords(b[i].compose(b[j]) - b[j].compose(b[i])))
-            for i, j in itertools.combinations(self.quotient_indices, 2)
+            self.quotient.contains(self.coords(b[i].compose(b[j]) - b[j].compose(b[i])))
+            for i, j in itertools.combinations(self.quotient.indices, 2)
         )
 
     def frobenius_matrix(self) -> np.ndarray:
         """Matrix of x -> x^p on End(M)/rad in quotient coordinates."""
         p = self.p
-        q = self.quotient_dim
-        cols = []
-        for i in self.quotient_indices:
-            rep = self.basis[i]
-            powered = RepMap(
-                rep.source,
-                rep.target,
-                tuple(linalg.matrix_power(b, p, p) for b in rep.blocks),
+        powered = [
+            RepMap(
+                self.module,
+                self.module,
+                tuple(linalg.matrix_power(b, p, p) for b in self.basis[i].blocks),
                 check=False,
             )
-            cols.append(self.quotient_coords(self.coords(powered)))
-        return (
-            np.stack(cols, axis=1) if cols else linalg.zeros(q, 0)
-        )
+            for i in self.quotient.indices
+        ]
+        return self.quotient.to_coords(self._hs.coords_of(powered))
 
 
 @memoized
@@ -687,13 +702,13 @@ def is_indecomposable(m: Rep) -> bool:
     if m.p <= end.dim and m.p ** end.dim <= EXHAUSTIVE_END_LIMIT:
         return not _exhaustive_idempotent_split(end)
     end.require_radical()
-    if end.quotient_dim == 1:
+    if end.quotient.dim == 1:
         return True
     if not end.quotient_commutative():
         return False
     fr = end.frobenius_matrix()
     fixed = linalg.kernel_basis(
-        (fr - linalg.eye(end.quotient_dim)) % m.p, m.p
+        (fr - linalg.eye(end.quotient.dim)) % m.p, m.p
     ).shape[1]
     return fixed == 1
 

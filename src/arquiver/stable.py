@@ -4,10 +4,12 @@ I(A, B) is the subspace of maps factoring through an injective module,
 P(A, B) the subspace factoring through a projective; both are computed
 through a single linear system against the injective envelope of the
 source (resp. the projective cover of the target), which is sound and
-complete by minimality.  A precover "with error term" relaxes the
-factorization requirement modulo the image of f2: nu(P2) -> DTr M, and
-the module-level equivalence between that notion and stable precovers is
-made executable here.
+complete by minimality.  `stable_hom` gives Hom modulo them as a
+rep.HomQuotient.  A precover "with error term" relaxes the factorization
+requirement modulo the image of f2: nu(P2) -> DTr M, and the module-level
+equivalence between that notion and stable precovers is made executable
+here.  The coverage checks here and in approx share one loop,
+`cover_report`, and one report, `CoverReport`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from . import linalg
 from .algebra import Algebra
 from .homological import (
-    CosetSpace,
     DtrData,
     dtr_data,
     injective_envelope,
@@ -30,11 +31,15 @@ from .homological import (
     second_step,
 )
 from .rep import (
+    HomQuotient,
     Rep,
     RepMap,
     decompose,
     direct_sum,
+    factor_through_left,
+    factor_through_right,
     hom_basis,
+    hom_quotient,
     iso,
     zero_map,
 )
@@ -47,79 +52,33 @@ def factors_through_injective(f: RepMap):
     extension . mono = f when the flag is true."""
     if f.is_zero:
         return True, None
-    isum, mono = injective_envelope(f.source)
-    hs = hom_basis(isum.rep, f.target)
-    if hs.dim == 0:
-        return False, None
-    cols = np.stack([b.compose(mono).flatten() for b in hs.basis], axis=1)
-    ok, c = linalg.in_span(cols, f.flatten(), f.p)
-    if not ok:
-        return False, None
-    return True, (hs.from_coords(c), mono)
+    _, mono = injective_envelope(f.source)
+    ext = factor_through_right(mono, f)
+    return (False, None) if ext is None else (True, (ext, mono))
 
 
 def factors_through_projective(f: RepMap):
     """(flag, witness): witness = (lift, cover epi) with epi . lift = f."""
     if f.is_zero:
         return True, None
-    ps, epi = projective_cover(f.target)
-    hs = hom_basis(f.source, ps.rep)
-    if hs.dim == 0:
-        return False, None
-    cols = np.stack([epi.compose(b).flatten() for b in hs.basis], axis=1)
-    ok, c = linalg.in_span(cols, f.flatten(), f.p)
-    if not ok:
-        return False, None
-    return True, (hs.from_coords(c), epi)
+    _, epi = projective_cover(f.target)
+    lift = factor_through_left(epi, f)
+    return (False, None) if lift is None else (True, (lift, epi))
 
 
-@dataclass(eq=False)
-class StableHomSpace:
-    """Hom(A, B) modulo the injective (or projective) factorization ideal."""
-
-    variant: str  # "inj" | "proj"
-    source: Rep
-    target: Rep
-    hom: object  # HomSpace
-    ideal_coords: np.ndarray  # columns in hom-basis coordinates
-    coset: CosetSpace
-
-    @property
-    def dim(self) -> int:
-        return self.coset.dim
-
-    @property
-    def ideal_dim(self) -> int:
-        return linalg.rank(self.ideal_coords, self.source.p)
-
-    def class_of(self, f: RepMap) -> np.ndarray:
-        c = self.hom.coords(f)
-        if c is None:
-            raise ValueError("map is not a homomorphism between these modules")
-        return self.coset.to_coords(c)
-
-    def rep_for(self, coords) -> RepMap:
-        return self.hom.from_coords(self.coset.lift(coords))
-
-
-def stable_hom(a: Rep, b: Rep, variant: str = "inj") -> StableHomSpace:
+def stable_hom(a: Rep, b: Rep, variant: str = "inj") -> HomQuotient:
+    """Hom(A, B) modulo the maps factoring through an injective ("inj") or
+    a projective ("proj") module."""
     if variant not in ("inj", "proj"):
         raise ValueError("variant must be 'inj' or 'proj'")
     hs = hom_basis(a, b)
-    p = a.p
     if variant == "inj":
         isum, mono = injective_envelope(a)
-        mid = hom_basis(isum.rep, b)
-        gens = [g.compose(mono) for g in mid.basis]
+        gens = [g.compose(mono) for g in hom_basis(isum.rep, b).basis]
     else:
         ps, epi = projective_cover(b)
-        mid = hom_basis(a, ps.rep)
-        gens = [epi.compose(g) for g in mid.basis]
-    if gens and hs.dim:
-        ideal = np.stack([hs.coords(g) for g in gens], axis=1)
-    else:
-        ideal = linalg.zeros(hs.dim, 0)
-    return StableHomSpace(variant, a, b, hs, ideal, CosetSpace(ideal, hs.dim, p))
+        gens = [epi.compose(g) for g in hom_basis(a, ps.rep).basis]
+    return hom_quotient(hs, gens)
 
 
 # -- the error term ---------------------------------------------------------
@@ -164,13 +123,7 @@ def error_term_image(etd: ErrorTermData, l_mod: Rep):
     """
     target_hs = hom_basis(l_mod, etd.data.rep)
     lifts = hom_basis(l_mod, etd.nu_p2)
-    cols = []
-    for phi in lifts.basis:
-        c = target_hs.coords(etd.f2.compose(phi))
-        cols.append(c)
-    mat = (
-        np.stack(cols, axis=1) if cols else linalg.zeros(target_hs.dim, 0)
-    )
+    mat = target_hs.coords_of([etd.f2.compose(phi) for phi in lifts.basis])
     return target_hs, linalg.column_space(mat, l_mod.p)
 
 
@@ -178,60 +131,68 @@ def error_term_image(etd: ErrorTermData, l_mod: Rep):
 
 
 @dataclass
-class PrecoverReport:
+class CoverReport:
+    """Whether every class of each space is reached through the map checked."""
+
     kind: str
-    passed: bool
-    failures: list = field(default_factory=list)  # (generator, witness RepMap)
-    detail: list = field(default_factory=list)  # (generator, covered, total)
+    passed: bool = True
+    failures: list = field(default_factory=list)  # (module, witness map)
+    detail: list = field(default_factory=list)  # (module, covered, total)
+
+
+def cover_report(kind: str, cases) -> CoverReport:
+    """The one coverage loop of the four precover and preenvelope checks.
+
+    cases yields (module, space, columns): space is a HomSpace or a
+    HomQuotient, the columns are classes of space reached through the map.
+    A module whose columns do not span space fails, and its witness is the
+    class of the first unit vector outside their span.
+    """
+    report = CoverReport(kind)
+    for g, space, cols in cases:
+        covered = linalg.rank(cols, g.p)
+        report.detail.append((g, covered, space.dim))
+        if covered < space.dim:
+            report.passed = False
+            witness = space.from_coords(linalg.first_unit_outside_span(cols, g.p))
+            report.failures.append((g, witness))
+    return report
 
 
 def is_precover_with_error_term(
     nu: RepMap, gens: list, m: Rep, etd: ErrorTermData | None = None
-) -> PrecoverReport:
+) -> CoverReport:
     """Check Hom(L, DTr M) = im(nu . -) + error_term_image for each L in gens."""
     if etd is None:
         etd = error_term_data(m)
-    tau = etd.data.rep
-    p = m.p
-    report = PrecoverReport("error-term", True)
-    for l_mod in gens:
-        target_hs, err_cols = error_term_image(etd, l_mod)
-        through = hom_basis(l_mod, nu.source)
-        cols = [target_hs.coords(nu.compose(phi)) for phi in through.basis]
-        nu_cols = (
-            np.stack(cols, axis=1) if cols else linalg.zeros(target_hs.dim, 0)
-        )
-        span = linalg.subspace_sum(nu_cols, err_cols, p)
-        covered = linalg.rank(span, p)
-        report.detail.append((l_mod, covered, target_hs.dim))
-        if covered < target_hs.dim:
-            witness = target_hs.from_coords(linalg.first_unit_outside_span(span, p))
-            report.passed = False
-            report.failures.append((l_mod, witness))
-    return report
+
+    def cases():
+        for l_mod in gens:
+            target_hs, err_cols = error_term_image(etd, l_mod)
+            through = hom_basis(l_mod, nu.source)
+            nu_cols = target_hs.coords_of([nu.compose(phi) for phi in through.basis])
+            yield l_mod, target_hs, linalg.subspace_sum(nu_cols, err_cols, m.p)
+
+    return cover_report("error-term", cases())
 
 
 def is_stable_precover(
     nu: RepMap, gens: list, m: Rep, data: DtrData | None = None
-) -> PrecoverReport:
+) -> CoverReport:
     """Surjectivity of nu . - onto the injective-stable Hom(L, DTr M)."""
     if data is None:
         data = dtr_data(m)
     tau = data.rep
-    p = m.p
-    report = PrecoverReport("stable", True)
-    for l_mod in gens:
-        sh = stable_hom(l_mod, tau, "inj")
-        through = hom_basis(l_mod, nu.source)
-        cols = [sh.class_of(nu.compose(phi)) for phi in through.basis]
-        mat = np.stack(cols, axis=1) if cols else linalg.zeros(sh.dim, 0)
-        covered = linalg.rank(mat, p)
-        report.detail.append((l_mod, covered, sh.dim))
-        if covered < sh.dim:
-            report.passed = False
-            witness = sh.rep_for(linalg.first_unit_outside_span(mat, p))
-            report.failures.append((l_mod, witness))
-    return report
+    cases = precover_cases(nu, gens, lambda g: stable_hom(g, tau, "inj"))
+    return cover_report("stable", cases)
+
+
+def precover_cases(nu: RepMap, modules, space_of):
+    """(G, space_of(G), classes of nu . phi for phi in Hom(G, source nu))."""
+    for g in modules:
+        space = space_of(g)
+        through = hom_basis(g, nu.source)
+        yield g, space, space.coords_of([nu.compose(phi) for phi in through.basis])
 
 
 # -- the equivalence harness ------------------------------------------------
@@ -355,10 +316,7 @@ def check_exactness_DP(u: Rep, m: Rep) -> bool:
     h1 = hom_basis(u, nu_d1.source)
     if h1.dim == 0:
         return True
-    img_cols = [h1.coords(nu_d2.compose(phi)) for phi in h2.basis]
-    img = (
-        np.stack(img_cols, axis=1) if img_cols else linalg.zeros(h1.dim, 0)
-    )
+    img = h1.coords_of([nu_d2.compose(phi) for phi in h2.basis])
     push = [nu_d1.compose(psi).flatten() for psi in h1.basis]
     push_mat = np.stack(push, axis=1)
     ker = linalg.kernel_basis(push_mat, p)

@@ -126,10 +126,36 @@ def test_canonical_precover_kronecker_family(alg_kronecker):
         {"a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]},
     )
     nu, rep = canonical_precover(pp, table_member, "stable-inj")
-    assert rep.stabilized
     dims = sorted(g.dims for g, _ in rep.contributing)
     assert dims == [(0, 1), (1, 2), (2, 3)]
     assert is_precover(nu, pp, "stable-inj").passed
+
+
+def test_canonical_precover_family_raises_below_the_stable_cap(alg_kronecker):
+    # P(2): the largest members contribute to its plain precover up to cap 6
+    p2 = Rep(
+        alg_kronecker,
+        (2, 3),
+        {"a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]},
+    )
+    with pytest.raises(CapExceeded):
+        canonical_precover(Subcat(alg_kronecker, "postprojective", cap=5), p2, "plain")
+    nu, rep = canonical_precover(Subcat(alg_kronecker, "postprojective", cap=7), p2, "plain")
+    assert nu.target is p2 and rep.cap == 7
+
+
+@pytest.mark.parametrize("variant", ["bogus", "stable-proj"])
+def test_is_precover_refuses_unknown_variant(alg_a2, whole_a2, variant):
+    nu = zero_map(zero_rep(alg_a2), simple(alg_a2, 1))
+    with pytest.raises(ValueError, match="variant must be 'plain' or 'stable-inj'"):
+        is_precover(nu, whole_a2, variant)
+
+
+@pytest.mark.parametrize("variant", ["bogus", "stable-inj"])
+def test_is_preenvelope_refuses_unknown_variant(alg_a2, whole_a2, variant):
+    mu = zero_map(simple(alg_a2, 1), zero_rep(alg_a2))
+    with pytest.raises(ValueError, match="variant must be 'plain' or 'stable-proj'"):
+        is_preenvelope(mu, whole_a2, variant)
 
 
 def test_is_precover_failure_witness(alg_a2, whole_a2):

@@ -243,6 +243,13 @@ def test_theorem_harness_a2(alg_a2, whole_a2):
     assert "agree=true" in block and "agree=false" not in block
 
 
+def test_theorem_harness_has_no_direction_knob(whole_a2):
+    # any direction but three known ones used to turn verdict (i) into
+    # "undecided", which counted as agreement
+    with pytest.raises(TypeError):
+        theorem_harness(whole_a2, direction="bogus")
+
+
 def test_theorem_harness_kronecker(alg_kronecker):
     pp = Subcat(alg_kronecker, "postprojective", [], cap=13)
     report = theorem_harness(pp)

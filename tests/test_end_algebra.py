@@ -127,7 +127,7 @@ def _assert_same_as_reference(m: Rep) -> EndAlgebra:
     assert end.gram.dtype == np.int64
     assert np.array_equal(end.gram, gram)
     assert np.array_equal(end.radical_coords, radical)
-    assert end.quotient_indices == quotient
+    assert end.quotient.indices == quotient
     return end
 
 
@@ -243,7 +243,7 @@ def reference_is_indecomposable(m: Rep) -> bool:
     if not end.quotient_commutative():
         return False
     fr = end.frobenius_matrix()
-    fixed = linalg.kernel_basis((fr - linalg.eye(end.quotient_dim)) % p, p)
+    fixed = linalg.kernel_basis((fr - linalg.eye(end.quotient.dim)) % p, p)
     return fixed.shape[1] == 1
 
 
@@ -263,7 +263,7 @@ def test_local_endomorphism_rings_skip_the_frobenius_test(monkeypatch):
     ends = [rep.end_algebra(m) for m in mods]
     # bricks (End = k) and a local End of dimension 2 (P1 over the loop)
     assert sum(end.dim == 1 for end in ends) >= 20
-    assert any(end.dim == 2 and end.quotient_dim == 1 for end in ends)
+    assert any(end.dim == 2 and end.quotient.dim == 1 for end in ends)
     for m in mods:
         assert is_indecomposable(m)
     kron = corpus.kronecker(32003)

@@ -172,7 +172,7 @@ def test_end_algebra_p1_plus_s1(alg_a2, p1):
     end = EndAlgebra(m)
     assert end.dim == 3
     assert end.radical_dim == 1
-    assert end.quotient_dim == 2
+    assert end.quotient.dim == 2
 
 
 def test_indecomposable_simples_and_projective(alg_a2, p1):

@@ -244,7 +244,7 @@ def reference_non_nilpotent(end, v_basis):
             yield (v_basis @ coeffs) % p
 
     for w in candidates():
-        if end.in_radical(w):
+        if end.quotient.contains(w):
             continue
         mp = reference_minpoly(end, w)
         a = 0
