@@ -321,9 +321,6 @@ class Algebra:
         a = self.quiver.by_name[name]
         return dict(self.reduce_path((a.source, (name,))))
 
-    def vertex_element(self, v: int) -> dict:
-        return {(v, ()): 1}
-
     # -- opposite algebra ----------------------------------------------
 
     def opposite(self) -> "Algebra":

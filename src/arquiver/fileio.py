@@ -238,14 +238,6 @@ def _parse_morphism_lines(lines: list, modules: dict) -> tuple:
     return name, f, lines[i:]
 
 
-def parse_morphism(text: str, modules: dict) -> tuple:
-    lines = _logical_lines(text)
-    name, f, rest = _parse_morphism_lines(lines, modules)
-    if rest:
-        raise ParseError("trailing content after morphism block")
-    return name, f
-
-
 # -- subcategories -----------------------------------------------------------
 
 

@@ -32,7 +32,6 @@ from .rep import (
     factor_through_left,
     hom_basis,
     hom_quotient,
-    identity_map,
     image_of,
     kernel_of,
     cokernel_of,
@@ -177,17 +176,12 @@ class PathCoeffMap:
         return PathCoeffMap(op_src, op_tgt, entries)
 
 
-def nakayama_rep(ps: ProjSum) -> Rep:
-    """nu(P) = D Hom(P, Lambda): the matching sum of injectives."""
-    return dual(ProjSum(ps.algebra.opposite(), ps.vertices).rep)
-
-
 def nakayama_of_projmap(d: PathCoeffMap) -> RepMap:
     """nu on morphisms: dualize the starred map.  Covariant."""
     return dual_map(d.star().to_repmap())
 
 
-# -- radical, top, socle ----------------------------------------------------
+# -- radical and top --------------------------------------------------------
 
 
 def radical_subspaces(m: Rep) -> list:
@@ -200,25 +194,6 @@ def radical_subspaces(m: Rep) -> list:
         )
         out.append(linalg.column_space(stacked, m.p))
     return out
-
-
-def socle_subspaces(m: Rep) -> list:
-    """Per-vertex basis of soc M (joint kernel of all outgoing arrows)."""
-    out = []
-    for u in range(1, m.algebra.quiver.n + 1):
-        rows = [m.maps[a.name] for a in m.algebra.quiver.arrows_from(u)]
-        stacked = (
-            np.vstack(rows) if rows else linalg.zeros(0, m.dim_at(u))
-        )
-        out.append(linalg.kernel_basis(stacked, m.p))
-    return out
-
-
-def top_dims(m: Rep) -> tuple:
-    rad = radical_subspaces(m)
-    return tuple(
-        m.dim_at(u) - rad[u - 1].shape[1] for u in range(1, m.algebra.quiver.n + 1)
-    )
 
 
 def top_generators(m: Rep) -> list:
@@ -437,10 +412,6 @@ class SES:
     @property
     def right(self) -> Rep:
         return self.g.target
-
-    def is_split(self) -> bool:
-        """Whether g admits a section."""
-        return factor_through_left(self.g, identity_map(self.right)) is not None
 
 
 # -- Ext^1 ------------------------------------------------------------------

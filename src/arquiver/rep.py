@@ -606,9 +606,6 @@ class EndAlgebra:
     def identity_coords(self) -> np.ndarray:
         return self.coords(identity_map(self.module))
 
-    def multiply_coords(self, x, y) -> np.ndarray:
-        return self.coords(self.from_coords(x).compose(self.from_coords(y)))
-
     def minpoly(self, w) -> list:
         """Minimal polynomial of an element given in coordinates: monic,
         coefficients in ascending degree."""

@@ -53,8 +53,7 @@ def test_multiplication_right_to_left(alg_a3):
 
 
 def test_vertex_idempotents(alg_a2):
-    e1 = alg_a2.vertex_element(1)
-    e2 = alg_a2.vertex_element(2)
+    e1, e2 = {(1, ()): 1}, {(2, ()): 1}  # the trivial paths at 1 and 2
     a = alg_a2.arrow_element("a")
     assert alg_a2.mul(e1, e1) == e1
     assert alg_a2.mul(e2, a) == a

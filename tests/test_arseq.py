@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from arquiver import linalg
 from arquiver.approx import Subcat
 from arquiver.arseq import (
+    almost_split,
     ar_end_in_subcat,
     ar_sequence_global,
     ar_start_in_subcat,
@@ -11,17 +13,17 @@ from arquiver.arseq import (
     is_projective_module,
     is_split_epi,
     is_split_mono,
-    left_almost_split,
-    right_almost_split,
+    radical_hom_basis,
     theorem_harness,
     verify_ar_sequence,
 )
-from arquiver.homological import SES, ExtSpace, dtr, proj
+from arquiver.homological import SES, ExtSpace, dtr, ext1, proj
 from arquiver.rep import (
     Rep,
     direct_sum,
     hom_basis,
     identity_map,
+    is_indecomposable,
     iso,
     simple,
 )
@@ -60,14 +62,14 @@ def test_is_projective_module(alg_a2):
 def test_right_almost_split_classical(alg_a2, whole_a2):
     p1, s1 = proj(alg_a2, 1), simple(alg_a2, 1)
     cover = hom_basis(p1, s1).basis[0]
-    report = right_almost_split(cover, whole_a2.members())
+    report = almost_split(cover, whole_a2.members(), "right")
     assert report.passed
 
 
 def test_right_almost_split_rejects_split_projection(alg_a2, whole_a2):
     s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
     total, _, projs = direct_sum([s2, s1])
-    report = right_almost_split(projs[1], whole_a2.members())
+    report = almost_split(projs[1], whole_a2.members(), "right")
     assert not report.passed
     assert not report.not_split
 
@@ -78,19 +80,19 @@ def test_right_almost_split_vacuous(alg_a2):
     from arquiver.rep import zero_map, zero_rep
 
     f = zero_map(zero_rep(alg_a2), s1)
-    report = right_almost_split(f, [s2])
+    report = almost_split(f, [s2], "right")
     assert report.passed and report.vacuous
 
 
 def test_left_almost_split_classical(alg_a2, whole_a2, classical_a2):
-    report = left_almost_split(classical_a2.f, whole_a2.members())
+    report = almost_split(classical_a2.f, whole_a2.members(), "left")
     assert report.passed
 
 
 def test_left_almost_split_rejects_split_inclusion(alg_a2, whole_a2):
     s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
     total, injs, _ = direct_sum([s2, s1])
-    report = left_almost_split(injs[0], whole_a2.members())
+    report = almost_split(injs[0], whole_a2.members(), "left")
     assert not report.passed
 
 
@@ -262,3 +264,130 @@ def test_theorem_harness_kronecker(alg_kronecker):
 def test_uniqueness_of_left_term(alg_a2, whole_a2, classical_a2):
     out = ar_end_in_subcat(simple(alg_a2, 1), whole_a2)
     assert iso(out.ses.left, classical_a2.left) is not None
+
+
+# -- almost_split against the per-map loop it replaced ----------------------
+
+
+def reference_right_almost_split(f, testset):
+    """f: B -> C.  The former loop: one in_span per radical map T -> C.
+    Returns (not_split, vacuous, failures)."""
+    not_split, vacuous, failures = not is_split_epi(f), True, []
+    c = f.target
+    for t in testset:
+        if not is_indecomposable(t):
+            raise ValueError("test modules must be indecomposable")
+        tests = radical_hom_basis(t, c)
+        if not tests:
+            continue
+        vacuous = False
+        cols = [f.compose(x).flatten() for x in hom_basis(t, f.source).basis]
+        mat = (
+            np.stack(cols, axis=1)
+            if cols
+            else linalg.zeros(tests[0].flatten().shape[0], 0)
+        )
+        for h in tests:
+            ok, _ = linalg.in_span(mat, h.flatten(), c.p)
+            if not ok:
+                failures.append((t, h))
+    return not_split, vacuous, failures
+
+
+def reference_left_almost_split(g, testset):
+    """g: A -> B.  The former loop: one in_span per radical map A -> T."""
+    not_split, vacuous, failures = not is_split_mono(g), True, []
+    a = g.source
+    for t in testset:
+        if not is_indecomposable(t):
+            raise ValueError("test modules must be indecomposable")
+        tests = radical_hom_basis(a, t)
+        if not tests:
+            continue
+        vacuous = False
+        cols = [x.compose(g).flatten() for x in hom_basis(g.target, t).basis]
+        mat = (
+            np.stack(cols, axis=1)
+            if cols
+            else linalg.zeros(tests[0].flatten().shape[0], 0)
+        )
+        for h in tests:
+            ok, _ = linalg.in_span(mat, h.flatten(), a.p)
+            if not ok:
+                failures.append((t, h))
+    return not_split, vacuous, failures
+
+
+REFERENCE = {"right": reference_right_almost_split, "left": reference_left_almost_split}
+
+
+def assert_same_as_reference(h, testset, side):
+    report = almost_split(h, testset, side)
+    not_split, vacuous, failures = REFERENCE[side](h, testset)
+    assert (report.not_split, report.vacuous) == (not_split, vacuous)
+    assert len(report.failures) == len(failures)
+    for (t, x), (rt, rx) in zip(report.failures, failures):
+        assert t is rt and x.equal(rx)
+    assert report.passed == (not_split and not failures)
+    return report
+
+
+def both_sides(ses: SES) -> list:
+    return [(ses.g, "right"), (ses.f, "left")]
+
+
+def test_almost_split_matches_reference_on_a2(alg_a2, whole_a2, classical_a2):
+    s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
+    _, injs, projs = direct_sum([s2, s1])
+    cover = hom_basis(proj(alg_a2, 1), s1).basis[0]
+    cases = both_sides(classical_a2) + both_sides(SES(injs[0], projs[1]))
+    cases += [(cover, "right"), (projs[1], "right"), (injs[0], "left")]
+    for h, side in cases:
+        assert_same_as_reference(h, whole_a2.members(), side)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_almost_split_matches_reference_on_kronecker_family(alg_kronecker, n):
+    pp = Subcat(alg_kronecker, "postprojective", [], cap=13)
+    a, b = np.eye(n + 1, n, dtype=np.int64), np.eye(n + 1, n, k=-1, dtype=np.int64)
+    pn = Rep(alg_kronecker, (n, n + 1), {"a": a, "b": b})  # P(n), as P(2) above
+    out = ar_end_in_subcat(pn, pp)
+    assert out.status == "found"
+    for h, side in both_sides(out.ses):
+        report = assert_same_as_reference(h, pp.members(), side)
+        assert report.passed and not report.vacuous
+
+
+# Failures per realized basis class e_i of Ext^1(R_n(0), DTr R_n(0)), on each
+# side, with the test set [R_n(0)]: only the socle class is almost split.
+REGULAR_CLASS_FAILURES = {2: [1, 0], 3: [2, 1, 0]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_almost_split_matches_reference_on_regular_classes(alg_kronecker, n):
+    r = regular_kronecker(alg_kronecker, n)
+    ext = ext1(r, dtr(r))
+    got = []
+    for q in ext.basis_classes():
+        ses = ext.realize(q)
+        counts = {
+            len(assert_same_as_reference(h, [r], side).failures)
+            for h, side in both_sides(ses)
+        }
+        assert len(counts) == 1  # as many failures on the left as on the right
+        got.append(counts.pop())
+    assert got == REGULAR_CLASS_FAILURES[n]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_almost_split_refuses_decomposable_test_modules(alg_a2, classical_a2, side):
+    s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
+    total, _, _ = direct_sum([s1, s2])
+    h = classical_a2.g if side == "right" else classical_a2.f
+    with pytest.raises(ValueError, match="indecomposable"):
+        almost_split(h, [s1, total], side)
+
+
+def test_almost_split_refuses_unknown_side(classical_a2):
+    with pytest.raises(ValueError, match="side"):
+        almost_split(classical_a2.g, [], "up")

@@ -152,6 +152,41 @@ def test_verify_ar_bundle(a2_files, tmp_path, capsys):
     split_path = tmp_path / "split.bundle"
     split.write(str(split_path))
     assert run(["verify-ar", "--bundle", str(split_path)] + base) == 1
+    text = capsys.readouterr().out
+    assert "right almost split = false" in text
+    assert "left almost split = false" in text
+    # split maps fail by splitting: every radical test map factors
+    assert "# unfactored test map" not in text
+
+
+def test_verify_ar_lists_unfactored_test_maps(tmp_path, capsys):
+    # the realized class e0 of Ext^1(R_2(0), DTr R_2(0)) is not almost split:
+    # one radical test map on each side does not factor, right side first
+    from arquiver.homological import dtr, ext1
+
+    alg = corpus.kronecker()
+    eye = np.eye(2, dtype=np.int64)
+    r = Rep(alg, (2, 2), {"a": eye, "b": np.eye(2, k=1, dtype=np.int64)})
+    ext = ext1(r, dtr(r))
+    ses = ext.realize(ext.basis_classes()[0])
+    fileio.write_algebra(alg, str(tmp_path / "kron.alg"))
+    fileio.write_module(r, str(tmp_path / "r.mod"), name="R")
+    (tmp_path / "r.sub").write_text("subcat finite\nr.mod\n")
+    bundle = fileio.Bundle(
+        alg,
+        modules={"X": ses.left, "Y": ses.middle, "Z": ses.right},
+        morphisms={"f": ses.f, "g": ses.g},
+        check={"verb": "verify-ar"},
+    )
+    bundle.write(str(tmp_path / "e0.bundle"))
+    assert run(["verify-ar", "--bundle", str(tmp_path / "e0.bundle"),
+                "--algebra", str(tmp_path / "kron.alg"),
+                "--subcat", str(tmp_path / "r.sub")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "right almost split = false" in lines
+    assert "left almost split = false" in lines
+    unfactored = [line for line in lines if line.startswith("# unfactored")]
+    assert unfactored == ["# unfactored test map from/into module of dims (2, 2)"] * 2
 
 
 def test_theorem_harness_verbs(a2_files, capsys):

@@ -12,7 +12,6 @@ from arquiver.fileio import (
     parse_algebra,
     parse_bundle,
     parse_module,
-    parse_morphism,
     read_algebra,
     read_module,
     read_subcat,
@@ -117,10 +116,11 @@ def test_morphism_roundtrip(alg_a2):
     p1, s1 = proj(alg_a2, 1), simple(alg_a2, 1)
     f = hom_basis(p1, s1).basis[0]
     text = format_morphism(f, "f", "P1", "S1")
-    name, back = parse_morphism(text, {"P1": p1, "S1": s1})
-    assert name == "f"
-    assert back.equal(f)
-    assert format_morphism(back, "f", "P1", "S1") == text
+    bundle = Bundle(alg_a2, modules={"P1": p1, "S1": s1}, morphisms={"f": f})
+    back = parse_bundle(bundle.format(), algebra=alg_a2)
+    assert list(back.morphisms) == ["f"]
+    assert back.morphisms["f"].equal(f)
+    assert format_morphism(back.morphisms["f"], "f", "P1", "S1") == text
 
 
 def test_algebra_files(tmp_path, alg_kronecker):

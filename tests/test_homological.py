@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from arquiver import corpus
+from arquiver import corpus, linalg
+from arquiver.arseq import is_split_epi
 from arquiver.homological import (
     NotExact,
     PathCoeffMap,
@@ -17,14 +18,11 @@ from arquiver.homological import (
     injective_envelope,
     min_presentation,
     nakayama_of_projmap,
-    nakayama_rep,
     proj,
     projective_cover,
     radical_subspaces,
     random_module,
     second_step,
-    socle_subspaces,
-    top_dims,
     transpose,
     trd,
 )
@@ -65,6 +63,21 @@ def test_injectives_a2(alg_a2):
     i2 = inj(alg_a2, 2)
     assert i1.dims == (1, 0)  # S1
     assert iso(i2, proj(alg_a2, 1)) is not None
+
+
+def socle_subspaces(m: Rep) -> list:
+    """Per-vertex basis of soc M (joint kernel of all outgoing arrows)."""
+    out = []
+    for u in range(1, m.algebra.quiver.n + 1):
+        rows = [m.maps[a.name] for a in m.algebra.quiver.arrows_from(u)]
+        stacked = np.vstack(rows) if rows else linalg.zeros(0, m.dim_at(u))
+        out.append(linalg.kernel_basis(stacked, m.p))
+    return out
+
+
+def top_dims(m: Rep) -> tuple:
+    rad = radical_subspaces(m)
+    return tuple(m.dim_at(u) - b.shape[1] for u, b in enumerate(rad, start=1))
 
 
 def test_top_and_socle_of_p1(alg_a2):
@@ -137,7 +150,8 @@ def test_second_step_exactness(alg_loop):
 def test_nakayama_sends_proj_to_inj(alg_a2, alg_kronecker):
     for alg in (alg_a2, alg_kronecker):
         for v in (1, 2):
-            nu = nakayama_rep(ProjSum(alg, (v,)))
+            # nu(P) = D Hom(P, Lambda) = D of the opposite projective
+            nu = dual(ProjSum(alg.opposite(), (v,)).rep)
             assert iso(nu, inj(alg, v)) is not None
 
 
@@ -220,14 +234,14 @@ def test_realize_nonsplit_extension(alg_a2):
     assert ses.left is s2 or ses.left.equal(s2)
     assert ses.right is s1
     assert iso(ses.middle, proj(alg_a2, 1)) is not None
-    assert not ses.is_split()
+    assert not is_split_epi(ses.g)
 
 
 def test_realize_zero_class_splits(alg_a2):
     s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
     ext = ext1(s1, s2)
     ses = ext.realize(np.array([0], dtype=np.int64))
-    assert ses.is_split()
+    assert is_split_epi(ses.g)
     total, _, _ = direct_sum([s2, s1])
     assert iso(ses.middle, total) is not None
 
@@ -252,7 +266,7 @@ def test_ar_extension_a2(alg_a2):
     assert ses is not None
     assert iso(ses.left, simple(alg_a2, 2)) is not None
     assert iso(ses.middle, proj(alg_a2, 1)) is not None
-    assert not ses.is_split()
+    assert not is_split_epi(ses.g)
 
 
 def test_ar_extension_loop(alg_loop):
@@ -268,7 +282,7 @@ def test_ar_extension_kronecker_regular(alg_kronecker):
     ses = ar_extension(r)
     assert ses is not None
     assert iso(ses.left, dtr(r)) is not None
-    assert not ses.is_split()
+    assert not is_split_epi(ses.g)
 
 
 def test_random_modules_are_modules(alg_a3):

@@ -43,7 +43,7 @@ from arquiver.rep import (
     zero_map,
     zero_rep,
 )
-from test_end_algebra import _corpus_modules, _hidden_sums, hidden_sum
+from test_end_algebra import _corpus_modules, _hidden_sums, hidden_sum, multiply_coords
 
 # -- reference splitter: integer characteristic polynomial --------------------
 
@@ -212,7 +212,7 @@ def reference_minpoly(end, w):
     powers = [end.identity_coords()]
     while True:
         mat = np.stack(powers, axis=1)
-        nxt = end.multiply_coords(powers[-1], w)
+        nxt = multiply_coords(end, powers[-1], w)
         ok, c = linalg.in_span(mat, nxt, p)
         if ok:
             return _trim([(-int(ci)) % p for ci in c] + [1])
@@ -225,7 +225,7 @@ def _poly_eval_coords(end, coeffs, w):
     power = end.identity_coords()
     for c in coeffs:
         acc = (acc + (c % p) * power) % p
-        power = end.multiply_coords(power, w)
+        power = multiply_coords(end, power, w)
     return acc
 
 
@@ -276,10 +276,10 @@ def reference_right_minimal_reduce(nu):
     h = _pscale(_pmul(upoly, xa, p), pow(int(gcd[0]), p - 2, p), p)
     e = _poly_eval_coords(end, h, w)
     for _ in range(end.dim + 4):
-        sq = end.multiply_coords(e, e)
+        sq = multiply_coords(end, e, e)
         if np.array_equal(sq, e):
             break
-        e = (3 * sq - 2 * end.multiply_coords(sq, e)) % p
+        e = (3 * sq - 2 * multiply_coords(end, sq, e)) % p
     else:
         raise AssertionError("idempotent lifting did not converge")
     sub, incl, _ = image_of(end.from_coords((end.identity_coords() - e) % p))
