@@ -333,7 +333,7 @@ def right_minimal_reduce(nu: RepMap) -> RepMap:
         raise RuntimeError("Fitting pieces do not sum to the source")
     projs = split_projections(src, [(sub, incl) for _, sub, incl in pieces])
     (k,) = [i for i, (g, _, _) in enumerate(pieces) if g == [0, 1]]
-    sub, incl, _ = image_of(pieces[k][2].compose(projs[k]))
+    sub, incl = image_of(pieces[k][2].compose(projs[k]))
     if sub.total_dim == src.total_dim:
         raise RuntimeError("splitting made no progress")
     return right_minimal_reduce(nu.compose(incl))

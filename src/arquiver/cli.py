@@ -283,7 +283,7 @@ def _dispatch(args, out) -> int:
         m = _load_module(args, alg)
         _say_header(out, args)
         try:
-            ses = ar_sequence_global(m, testset_cap=args.cap)
+            ses = ar_sequence_global(m)
         except PrimeTooSmall:
             raise
         except (ValueError, RuntimeError) as exc:
@@ -299,6 +299,7 @@ def _dispatch(args, out) -> int:
         fn = ar_end_in_subcat if verb == "ar-end" else ar_start_in_subcat
         outcome = fn(m, sub, seed=args.seed)
         _say_header(out, args)
+        out.say(f"# {sub.describe()}")
         out.say(f"status = {outcome.status}")
         if outcome.diagnostics:
             out.say(f"# {outcome.diagnostics}")
@@ -314,6 +315,7 @@ def _dispatch(args, out) -> int:
         ses = SES(bundle.morphisms["f"], bundle.morphisms["g"])
         report = verify_ar_sequence(ses, sub, seed=args.seed)
         _say_header(out, args)
+        out.say(f"# {sub.describe()}")
         out.say(f"membership = {report.membership}")
         out.say(f"right almost split = {str(report.right_report.passed).lower()}")
         out.say(f"left almost split = {str(report.left_report.passed).lower()}")

@@ -307,7 +307,6 @@ class Presentation:
     d1_rep: RepMap  # P1 -> P0
     omega: Rep  # image of d1 = kernel of aug
     omega_incl: RepMap  # omega -> P0
-    omega_epi: RepMap  # P1 -> omega
 
 
 @memoized
@@ -320,8 +319,8 @@ def min_presentation(m: Rep) -> Presentation:
     d1 = _projmap_to_pathcoeff(p1, p0, d1_rep)
     if not d1.to_repmap().equal(d1_rep):
         raise RuntimeError("path-coefficient reconstruction disagrees")
-    omega, omega_incl, omega_epi = image_of(d1_rep)
-    return Presentation(m, p0, aug, p1, d1, d1_rep, omega, omega_incl, omega_epi)
+    omega, omega_incl = image_of(d1_rep)
+    return Presentation(m, p0, aug, p1, d1, d1_rep, omega, omega_incl)
 
 
 def second_step(pres: Presentation) -> tuple:

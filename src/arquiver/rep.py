@@ -499,19 +499,12 @@ def cokernel_of(f: RepMap) -> tuple:
 
 
 def image_of(f: RepMap) -> tuple:
-    """(image rep, inclusion into target, epi from source)."""
-    alg = f.source.algebra
-    p = f.p
-    bases = [linalg.column_space(f.block(v), p) for v in range(1, alg.quiver.n + 1)]
-    img, incl = subrep_from_subspaces(f.target, bases)
-    epi_blocks = []
-    for v in range(1, alg.quiver.n + 1):
-        q = linalg.solve(bases[v - 1], f.block(v), p)
-        if q is None:
-            raise RuntimeError("image coordinates failed")
-        epi_blocks.append(q)
-    epi = RepMap(f.source, img, tuple(epi_blocks), check=True)
-    return img, incl, epi
+    """(image rep, inclusion into target)."""
+    bases = [
+        linalg.column_space(f.block(v), f.p)
+        for v in range(1, f.source.algebra.quiver.n + 1)
+    ]
+    return subrep_from_subspaces(f.target, bases)
 
 
 def factor_through_left(f: RepMap, h: RepMap):

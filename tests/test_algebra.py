@@ -1,6 +1,5 @@
 import pytest
 
-from arquiver import corpus
 from arquiver.algebra import (
     Algebra,
     MalformedRelation,

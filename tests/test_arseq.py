@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from arquiver import linalg
+from arquiver import arseq, corpus, linalg
+from arquiver.acceptance import corpus_indecomposables
 from arquiver.approx import Subcat
 from arquiver.arseq import (
     almost_split,
@@ -9,7 +10,6 @@ from arquiver.arseq import (
     ar_sequence_global,
     ar_start_in_subcat,
     check_duality_of_ar,
-    dualize_ses,
     is_projective_module,
     is_split_epi,
     is_split_mono,
@@ -17,7 +17,8 @@ from arquiver.arseq import (
     theorem_harness,
     verify_ar_sequence,
 )
-from arquiver.homological import SES, ExtSpace, dtr, ext1, proj
+from arquiver.homological import SES, ExtSpace, ar_extension, ar_socle_classes, dtr, ext1, proj
+from arquiver.knit import knit_both_ends
 from arquiver.rep import (
     Rep,
     direct_sum,
@@ -141,6 +142,93 @@ def test_ar_sequence_global_kronecker_regular(alg_kronecker, n):
     assert iso(ses.middle, direct_sum(parts)[0]) is not None
 
 
+# -- the socle certificate of ar_sequence_global against the knitted check ----
+
+
+def knitted_ar_sequence_global(m: Rep) -> SES:
+    """The former ar_sequence_global: the sequence of ar_extension, verified on
+    both sides against the modules knitted from both ends."""
+    ses = ar_extension(m)
+    testset = knit_both_ends(m.algebra, max(14, m.total_dim + 2))
+    right = almost_split(ses.g, testset, "right")
+    left = almost_split(ses.f, testset, "left")
+    if not (right.passed and left.passed):
+        raise RuntimeError("constructed sequence failed verification")
+    return ses
+
+
+def _rep_key(m: Rep) -> tuple:
+    return m.dims, [(k, m.maps[k].tobytes()) for k in sorted(m.maps)]
+
+
+def _ses_key(s: SES) -> tuple:
+    return tuple(
+        (_rep_key(h.source), _rep_key(h.target), [b.tobytes() for b in h.blocks])
+        for h in (s.f, s.g)
+    )
+
+
+def _global_cases() -> dict:
+    """label -> every non-projective corpus indecomposable, and R_1(0)-R_4(0)."""
+    cases = {}
+    for name, alg in corpus.corpus().items():
+        for k, m in enumerate(corpus_indecomposables(alg)):
+            if not is_projective_module(m):
+                cases[f"{name}-{k}"] = m
+    kron = corpus.kronecker()
+    cases.update({f"R{n}(0)": regular_kronecker(kron, n) for n in (1, 2, 3, 4)})
+    return cases
+
+
+GLOBAL_CASES = _global_cases()
+
+
+@pytest.mark.parametrize("m", GLOBAL_CASES.values(), ids=GLOBAL_CASES.keys())
+def test_ar_sequence_global_matches_knitted_check(m):
+    ses = ar_sequence_global(m)
+    assert _ses_key(ses) == _ses_key(knitted_ar_sequence_global(m))
+    # the dual certificate: every radical endomorphism of the left term
+    # factors through f
+    assert almost_split(ses.f, [ses.left], "left").passed
+
+
+def _regular_classes(alg, n: int) -> list:
+    """(realized basis class of Ext^1(R_n(0), DTr R_n(0)), whether it lies in
+    the End-socle)."""
+    r = regular_kronecker(alg, n)
+    ext, socle = ar_socle_classes(r)
+    span = np.stack(socle, axis=1)
+    return [
+        (ext.realize(q), linalg.in_span(span, q, alg.p)[0])
+        for q in ext.basis_classes()
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ar_sequence_global_rejects_non_socle_classes(alg_kronecker, n, monkeypatch):
+    r = regular_kronecker(alg_kronecker, n)
+    classes = _regular_classes(alg_kronecker, n)
+    assert [in_socle for _, in_socle in classes] == [False] * (n - 1) + [True]
+    knitted = knit_both_ends(alg_kronecker, max(14, r.total_dim + 2))
+    for ses, in_socle in classes:
+        monkeypatch.setattr(arseq, "ar_extension", lambda m, ses=ses: ses)
+        if in_socle:
+            assert ar_sequence_global(r) is ses
+        else:
+            with pytest.raises(RuntimeError, match="failed verification"):
+                ar_sequence_global(r)
+        # the dual certificate gives the same verdict; the knitted test set,
+        # which holds no regular module, accepts every class
+        assert almost_split(ses.f, [ses.left], "left").passed == in_socle
+        assert almost_split(ses.g, knitted, "right").passed
+        assert almost_split(ses.f, knitted, "left").passed
+
+
+def test_ar_sequence_global_has_no_test_set_cap(alg_a2):
+    with pytest.raises(TypeError):
+        ar_sequence_global(simple(alg_a2, 1), testset_cap=14)
+
+
 def test_verify_ar_sequence_split_fails(alg_a2, whole_a2):
     s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
     total, injs, projs = direct_sum([s2, s1])
@@ -219,6 +307,19 @@ def test_ar_start_ineligible(alg_a2):
     sub = Subcat(alg_a2, "finite", [simple(alg_a2, 2)])
     out = ar_start_in_subcat(simple(alg_a2, 2), sub)
     assert out.status == "hypothesis-not-satisfied"
+    assert out.diagnostics == "dual side: ext1(M, G) = 0 for every generator"
+
+
+def test_ar_start_hypotheses_are_checked_on_the_dual_side(alg_a2, whole_a2):
+    s1, s2 = simple(alg_a2, 1), simple(alg_a2, 2)
+    out = ar_start_in_subcat(direct_sum([s1, s2])[0], whole_a2)
+    assert (out.status, out.diagnostics) == (
+        "construction-failed", "dual side: M not indecomposable"
+    )
+    out = ar_start_in_subcat(s2, Subcat(alg_a2, "finite", [s1]))
+    assert (out.status, out.diagnostics) == (
+        "hypothesis-not-satisfied", "dual side: M not in sub"
+    )
 
 
 def test_duality_of_ar(alg_a2, whole_a2, classical_a2):

@@ -4,7 +4,7 @@ import pytest
 from arquiver import corpus, fileio
 from arquiver.cli import run
 from arquiver.homological import proj
-from arquiver.rep import Rep, hom_basis, identity_map, iso, simple, direct_sum
+from arquiver.rep import Rep, RepMap, direct_sum, hom_basis, identity_map, iso, simple
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +114,11 @@ def test_ar_end_and_start(a2_files, capsys):
     base = ["--algebra", str(a2_files / "a2.alg"),
             "--subcat", str(a2_files / "whole.sub")]
     assert run(["ar-end", "--module", str(a2_files / "s1.mod")] + base) == 0
-    assert "status = found" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["seed=1 cap=13", "# finite[3 gens]", "status = found"]
     assert run(["ar-start", "--module", str(a2_files / "s2.mod")] + base) == 0
-    assert "status = found" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["seed=1 cap=13", "# finite[3 gens]", "status = found"]
     # projective end: hypothesis not satisfied, still exit 0
     assert run(["ar-end", "--module", str(a2_files / "p1.mod")] + base) == 0
     assert "hypothesis-not-satisfied" in capsys.readouterr().out
@@ -125,8 +127,6 @@ def test_ar_end_and_start(a2_files, capsys):
 def test_verify_ar_bundle(a2_files, tmp_path, capsys):
     alg = corpus.a2()
     s1, s2, p1 = simple(alg, 1), simple(alg, 2), proj(alg, 1)
-    from arquiver.homological import SES
-
     f = hom_basis(s2, p1).basis[0]
     g = hom_basis(p1, s1).basis[0]
     good = fileio.Bundle(
@@ -140,7 +140,9 @@ def test_verify_ar_bundle(a2_files, tmp_path, capsys):
     base = ["--algebra", str(a2_files / "a2.alg"),
             "--subcat", str(a2_files / "whole.sub")]
     assert run(["verify-ar", "--bundle", str(good_path)] + base) == 0
-    assert "verified = true" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert text.splitlines()[:2] == ["seed=1 cap=13", "# finite[3 gens]"]
+    assert "verified = true" in text
 
     total, injs, projs = direct_sum([s2, s1])
     split = fileio.Bundle(
@@ -267,6 +269,45 @@ def test_guard_exit_code(kron_files, tmp_path, capsys):
                 "--module", str(path),
                 "--subcat", str(kron_files / "pp13.sub")]) == 3
     assert "guard:" in capsys.readouterr().out
+
+
+def test_ar_start_guard_exit_code(kron_files, tmp_path, capsys):
+    # as for ar-end: Q(7) lies beyond the preinjective cap (exit 3)
+    alg = corpus.kronecker()
+    n = 7
+    a = np.hstack([np.eye(n, dtype=np.int64), np.zeros((n, 1), dtype=np.int64)])
+    b = np.hstack([np.zeros((n, 1), dtype=np.int64), np.eye(n, dtype=np.int64)])
+    q7 = Rep(alg, (n + 1, n), {"a": a, "b": b})
+    fileio.write_module(q7, str(tmp_path / "q7.mod"), name="Q7")
+    fileio.write_subcat_family("preinjective", 13, str(tmp_path / "pi13.sub"))
+    assert run(["ar-start", "--algebra", str(kron_files / "kron.alg"),
+                "--module", str(tmp_path / "q7.mod"),
+                "--subcat", str(tmp_path / "pi13.sub")]) == 3
+    assert "guard:" in capsys.readouterr().out
+
+
+def test_ar_end_shows_the_family_cap(kron_files, capsys):
+    # the header's cap= is the CLI flag; the family's own cap is shown below it
+    assert run(["ar-end", "--algebra", str(kron_files / "kron.alg"),
+                "--module", str(kron_files / "p2.mod"),
+                "--subcat", str(kron_files / "pp13.sub"), "--cap", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["seed=1 cap=5", "# postprojective[cap 13]", "status = found"]
+
+
+def test_minimal_reduces_a_redundant_source(a2_files, tmp_path, capsys):
+    # nu: S1 + S1 -> S1 with vertex-1 block [1 1] reduces to one copy of S1
+    alg = corpus.a2()
+    s1 = simple(alg, 1)
+    n = direct_sum([s1, s1])[0]
+    nu = RepMap(n, s1, (np.array([[1, 1]], dtype=np.int64), np.zeros((0, 0), dtype=np.int64)))
+    fileio.Bundle(
+        alg, modules={"N": n, "S1": s1}, morphisms={"nu": nu}, check={"verb": "minimal"}
+    ).write(str(tmp_path / "nu.bundle"))
+    assert run(["minimal", "--algebra", str(a2_files / "a2.alg"),
+                "--bundle", str(tmp_path / "nu.bundle")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "source dim 2 -> 1; right minimal = true"
 
 
 @pytest.mark.parametrize(

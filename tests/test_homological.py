@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from arquiver import corpus, linalg
+from arquiver import linalg
 from arquiver.arseq import is_split_epi
 from arquiver.homological import (
     NotExact,
@@ -17,7 +17,6 @@ from arquiver.homological import (
     inj,
     injective_envelope,
     min_presentation,
-    nakayama_of_projmap,
     proj,
     projective_cover,
     radical_subspaces,
@@ -30,7 +29,6 @@ from arquiver.rep import (
     Rep,
     direct_sum,
     dual,
-    hom_basis,
     identity_map,
     is_indecomposable,
     iso,

@@ -3,7 +3,6 @@ import pytest
 from arquiver import knit
 from arquiver.homological import proj
 from arquiver.knit import enumerate_indec, is_kronecker, root_oracle_kronecker
-from arquiver.rep import iso, simple
 
 
 def test_a2_knit_finds_all_three(alg_a2):

@@ -24,7 +24,6 @@ from arquiver.rep import (
     iso,
     kernel_of,
     simple,
-    zero_map,
     zero_rep,
 )
 
@@ -138,10 +137,37 @@ def test_cokernel_of_socle_is_s1(alg_a2, p1):
 def test_image_of_composite(alg_a2, p1):
     s1 = simple(alg_a2, 1)
     f = hom_basis(p1, s1).basis[0]
-    img, incl, epi = image_of(f)
+    img, incl = image_of(f)
     assert img.dims == (1, 0)
+    # f corestricted to its image, solved vertex by vertex
+    epi = RepMap(
+        f.source,
+        img,
+        tuple(
+            linalg.solve(incl.block(v), f.block(v), f.p)
+            for v in range(1, alg_a2.quiver.n + 1)
+        ),
+        check=True,
+    )
     assert incl.compose(epi).equal(f)
     assert incl.is_injective() and epi.is_surjective()
+
+
+def test_iso_fallback_refuses_different_summand_counts(alg_a2, p1):
+    # S1 + S2 and P1 share dims (1, 1); no basis map is invertible, and the
+    # fallback splits S1 + S2 into two summands but P1 into one
+    s12 = direct_sum([simple(alg_a2, 1), simple(alg_a2, 2)])[0]
+    assert iso(s12, p1) is None
+
+
+def test_iso_fallback_matches_summands(alg_a2, monkeypatch):
+    # no basis map of End(S1^2) is invertible; with no random tries, only the
+    # decompose-and-match fallback can find a witness
+    monkeypatch.setattr(rep, "SWEEP_RANDOM_TRIES", 0)
+    s1 = simple(alg_a2, 1)
+    left, right = direct_sum([s1, s1])[0], direct_sum([s1, s1])[0]
+    w = iso(left, right)
+    assert w is not None and w.is_invertible()
 
 
 def test_direct_sum_layout(alg_a2, p1):
@@ -354,7 +380,7 @@ def test_rank_nullity_for_homs(m, n):
     hs = hom_basis(m, n)
     for f in hs.basis[:3]:
         ker, _ = kernel_of(f)
-        img, _, _ = image_of(f)
+        img, _ = image_of(f)
         assert ker.total_dim + img.total_dim == m.total_dim
         cok, _ = cokernel_of(f)
         assert img.total_dim + cok.total_dim == n.total_dim

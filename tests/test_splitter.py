@@ -282,7 +282,7 @@ def reference_right_minimal_reduce(nu):
         e = (3 * sq - 2 * multiply_coords(end, sq, e)) % p
     else:
         raise AssertionError("idempotent lifting did not converge")
-    sub, incl, _ = image_of(end.from_coords((end.identity_coords() - e) % p))
+    sub, incl = image_of(end.from_coords((end.identity_coords() - e) % p))
     assert sub.total_dim < src.total_dim
     return reference_right_minimal_reduce(nu.compose(incl))
 

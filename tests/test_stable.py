@@ -1,14 +1,11 @@
-import numpy as np
 import pytest
 
 from arquiver import corpus
-from arquiver.homological import dtr, dtr_data, inj, proj
+from arquiver.homological import dtr_data, inj, proj
 from arquiver.rep import (
-    Rep,
     direct_sum,
     hom_basis,
     identity_map,
-    iso,
     simple,
     zero_map,
 )
