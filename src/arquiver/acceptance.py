@@ -33,9 +33,11 @@ from .arseq import (
     theorem_harness,
     verify_ar_sequence,
 )
+from .fileio import Bundle
 from .homological import SES, dtr, dtr_data, ext1, inj, proj, transpose, trd
 from .knit import knit_both_ends, knit_cached
 from .rep import (
+    DEFAULT_SEED,
     brute_indec_classes,
     dual,
     hom_basis,
@@ -45,7 +47,6 @@ from .rep import (
 )
 from .stable import check_equiv_error_vs_stable, check_exactness_DP, stable_hom
 
-DEFAULT_SEED = 1
 FAMILY_CAP = 13
 
 
@@ -152,18 +153,22 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- criterion 3: the exactness lemma over the corpus -------------------------
 
 
+def exactness_failures(alg, cap: int = FAMILY_CAP) -> tuple:
+    """(pairs checked, inexact pairs (U, M)) over the injectives U and the
+    corpus indecomposables M of alg, knitted up to cap."""
+    injectives = [inj(alg, v) for v in range(1, alg.quiver.n + 1)]
+    pairs = list(itertools.product(injectives, corpus_indecomposables(alg, cap)))
+    return len(pairs), [(u, m) for u, m in pairs if not check_exactness_DP(u, m)]
+
+
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
         problems = []
         pairs = 0
         for name, alg in _corpus(seed).items():
-            injectives = [inj(alg, v) for v in range(1, alg.quiver.n + 1)]
-            mods = corpus_indecomposables(alg)
-            for u in injectives:
-                for m in mods:
-                    pairs += 1
-                    if not check_exactness_DP(u, m):
-                        problems.append(f"{name}: inexact at U={u.dims} M={m.dims}")
+            checked, failures = exactness_failures(alg)
+            pairs += checked
+            problems += [f"{name}: inexact at U={u.dims} M={m.dims}" for u, m in failures]
         if pairs < 40:
             problems.append(f"only {pairs} pairs (need >= 40)")
         return not problems, "; ".join(problems) or f"{pairs} pairs exact", {}
@@ -181,11 +186,7 @@ def criterion_4(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Criteri
         detail = f"{report.agreements}/100 agree (seed {seed})"
         artifacts = {}
         if report.disagreements and out_dir is not None:
-            paths = []
-            for k, inst in enumerate(report.disagreements):
-                path = os.path.join(out_dir, f"equiv-disagreement-{k}.bundle")
-                _emit_equiv_bundle(inst, seed, path)
-                paths.append(path)
+            paths = write_equiv_bundles(report.disagreements, seed, out_dir)
             detail += "; counterexamples: " + ", ".join(paths)
             artifacts["bundles"] = paths
         return ok, detail, artifacts
@@ -193,30 +194,26 @@ def criterion_4(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Criteri
     return _timed(4, "error-term precover == stable precover (100 instances)", run)
 
 
-def _emit_equiv_bundle(inst, seed: int, path: str) -> None:
-    from .fileio import Bundle
-
-    modules = {"M": inst.module, "N": inst.nu.source, "DTrM": inst.nu.target}
-    gen_names = []
-    for k, g in enumerate(inst.gens):
-        gname = f"G{k}"
-        modules[gname] = g
-        gen_names.append(gname)
-    bundle = Bundle(
-        inst.algebra,
-        modules=modules,
-        morphisms={"nu": inst.nu},
-        check={
+def write_equiv_bundles(disagreements: list, seed: int, out_dir: str) -> list:
+    """Write each disagreeing instance as a bundle `replay` re-checks; the
+    paths, in order."""
+    paths = []
+    for k, inst in enumerate(disagreements):
+        gens = {f"G{j}": g for j, g in enumerate(inst.gens)}
+        modules = {"M": inst.module, "N": inst.nu.source, "DTrM": inst.nu.target, **gens}
+        check = {
             "verb": "equiv-4x",
             "seed": str(seed),
             "module": "M",
             "nu": "nu",
-            "gens": ",".join(gen_names),
+            "gens": ",".join(gens),
             "error_verdict": str(inst.error_verdict).lower(),
             "stable_verdict": str(inst.stable_verdict).lower(),
-        },
-    )
-    bundle.write(path)
+        }
+        path = os.path.join(out_dir, f"equiv-disagreement-{k}.bundle")
+        Bundle(inst.algebra, modules=modules, morphisms={"nu": inst.nu}, check=check).write(path)
+        paths.append(path)
+    return paths
 
 
 # -- criterion 5: the A3 theorem harness over all generator subsets ----------

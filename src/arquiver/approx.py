@@ -20,6 +20,7 @@ from . import linalg
 from .algebra import Algebra
 from .knit import knit_cached
 from .rep import (
+    DEFAULT_SEED,
     EndAlgebra,
     end_algebra,
     Rep,
@@ -39,7 +40,6 @@ from .rep import (
 )
 from .stable import CoverReport, cover_report, precover_cases, stable_hom
 
-DEFAULT_SEED = 1
 AUDIT_RANDOM_CLASSES = 32
 
 
@@ -56,7 +56,6 @@ class Subcat:
     kind: str  # "finite" | "postprojective" | "preinjective"
     gens: list = field(default_factory=list)
     cap: int = 0
-    audit_status: str = "unaudited"
 
     def __post_init__(self):
         if self.kind not in ("finite", "postprojective", "preinjective"):
@@ -87,6 +86,22 @@ class Subcat:
         return f"{self.kind}[cap {self.cap}]"
 
 
+def _first_outside(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> Rep | None:
+    """The first indecomposable summand of m that is not a member of sub,
+    or None; for a family, a summand beyond the cap counts as outside."""
+    if m.is_zero:
+        return None
+    members = sub.members()
+    for g in decompose(m, seed=seed):
+        if _beyond_cap(sub, g.rep) or all(iso(g.rep, x) is None for x in members):
+            return g.rep
+    return None
+
+
+def _beyond_cap(sub: Subcat, g: Rep) -> bool:
+    return sub.kind != "finite" and g.total_dim > sub.cap
+
+
 def contains(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> bool:
     """Decompose m and match every indecomposable summand against members.
 
@@ -94,18 +109,12 @@ def contains(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> bool:
     whose total dimension exceeds the cap is undecidable and raises
     CapExceeded rather than returning a guess.
     """
-    if m.is_zero:
-        return True
-    members = sub.members()
-    for g in decompose(m, seed=seed):
-        if sub.kind != "finite" and g.rep.total_dim > sub.cap:
-            raise CapExceeded(
-                f"summand of total dim {g.rep.total_dim} undecidable "
-                f"within cap {sub.cap}"
-            )
-        if all(iso(g.rep, member) is None for member in members):
-            return False
-    return True
+    bad = _first_outside(sub, m, seed)
+    if bad is not None and _beyond_cap(sub, bad):
+        raise CapExceeded(
+            f"summand of total dim {bad.total_dim} undecidable within cap {sub.cap}"
+        )
+    return bad is None
 
 
 # -- extension-closure audit ------------------------------------------------
@@ -153,22 +162,10 @@ def audit_extension_closed(
                     classes.append(v)
             for coords in classes:
                 report.classes_checked += 1
-                ses = ext.realize(coords)
-                try:
-                    ok = contains(sub, ses.middle, seed=seed)
-                except CapExceeded:
-                    ok = False
-                if not ok:
+                bad = _first_outside(sub, ext.realize(coords).middle, seed)
+                if bad is not None:
                     report.passed = False
-                    bad = None
-                    for g in decompose(ses.middle, seed=seed):
-                        if all(
-                            iso(g.rep, member) is None for member in sub.members()
-                        ):
-                            bad = g.rep
-                            break
                     report.failures.append((z, x, coords, bad))
-    sub.audit_status = "passed" if report.passed else "failed"
     return report
 
 

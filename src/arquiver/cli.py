@@ -1,14 +1,15 @@
 """Command-line front end.
 
-One verb per concept; every report echoes the seed and cap it was run
-with, so any verdict can be replayed bit-for-bit.  Exit codes: 0 pass, 1
+One verb per concept, each taking only the flags it reads.  `run` reads
+the files a verb declares (algebra, modules, subcategory, bundle) before the
+verb runs; a verb that takes --seed or --cap echoes them on its first line,
+so its verdict can be replayed bit-for-bit.  Exit codes: 0 pass, 1
 verified-fail, 2 usage error, 3 cap/guard error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import acceptance, fileio
@@ -30,18 +31,19 @@ from .arseq import (
     theorem_harness,
     verify_ar_sequence,
 )
-from .homological import SES, dtr, dtr_data, ext1, inj, transpose, trd
+from .homological import SES, dtr, dtr_data, ext1, transpose, trd
 from .knit import enumerate_indec
 from .linalg import ModulusTooLarge
 from .rep import (
+    DEFAULT_SEED,
     PrimeTooSmall,
+    RepMap,
     decompose,
     dual,
     hom_basis,
     is_indecomposable,
 )
 from .stable import (
-    check_exactness_DP,
     check_equiv_error_vs_stable,
     is_precover_with_error_term,
     is_stable_precover,
@@ -53,8 +55,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-DEFAULT_SEED = 1
-DEFAULT_CAP = 13
+_MODULE_FLAGS = ("module", "module2")  # in the order a verb reads them
 
 
 class _Output:
@@ -79,18 +80,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, *, algebra=False, modules=0, subcat=False, helptext=""):
+    def add(verb, *, algebra=False, modules=0, subcat=False, bundle=False,
+            seed=False, cap=False, helptext=""):
+        """A verb with the input files `run` reads for it and the shared
+        flags it reads: --prime with an algebra or a bundle, --seed and
+        --cap where asked, --out always."""
         p = sub.add_parser(verb, help=helptext)
         if algebra:
             p.add_argument("--algebra", required=True, help="algebra file")
-        for i in range(modules):
-            flag = "--module" if i == 0 else f"--module{i + 1}"
-            p.add_argument(flag, required=True, help="module file")
+        for flag in _MODULE_FLAGS[:modules]:
+            p.add_argument(f"--{flag}", required=True, help="module file")
         if subcat:
             p.add_argument("--subcat", required=True, help="subcategory file")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        p.add_argument("--prime", type=int, default=None)
+        if bundle:
+            p.add_argument("--bundle", required=True, help="bundle file")
+        if algebra or bundle:
+            p.add_argument("--prime", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if cap:
+            p.add_argument("--cap", type=int, default=acceptance.FAMILY_CAP)
         p.add_argument("--out", default=None, help="also write the report here")
         return p
 
@@ -100,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("trd", algebra=True, modules=1, helptext="the inverse translate TrD M")
     add("transpose", algebra=True, modules=1, helptext="Tr M over the opposite")
     add("dual", algebra=True, modules=1, helptext="D M over the opposite")
-    add("decompose", algebra=True, modules=1, helptext="indecomposable summands")
+    add("decompose", algebra=True, modules=1, seed=True,
+        helptext="indecomposable summands")
     add("indec", algebra=True, modules=1, helptext="certify indecomposability")
     p = add("stable-hom", algebra=True, modules=2, helptext="stable Hom dimensions")
     p.add_argument("--variant", choices=("inj", "proj"), default="inj")
@@ -110,51 +120,58 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("preenvelope", algebra=True, modules=1, subcat=True,
             helptext="canonical preenvelope of M via duality, verified")
     p.add_argument("--variant", choices=("plain", "stable-proj"), default="plain")
-    p = add("minimal", algebra=True, helptext="right-minimal reduction of a morphism")
-    p.add_argument("--bundle", required=True, help="bundle with the morphism")
+    p = add("minimal", algebra=True, bundle=True,
+            helptext="right-minimal reduction of a morphism")
     p.add_argument("--morphism", default="nu", help="morphism name in the bundle")
-    p = add("audit-subcat", algebra=True, subcat=True,
+    p = add("audit-subcat", algebra=True, subcat=True, seed=True,
             helptext="extension-closure audit")
     p.add_argument("--bound", type=int, default=None)
     add("ar-global", algebra=True, modules=1,
         helptext="classical AR sequence ending at M")
-    add("ar-end", algebra=True, modules=1, subcat=True,
+    add("ar-end", algebra=True, modules=1, subcat=True, seed=True,
         helptext="AR sequence in the subcategory ending at M")
-    add("ar-start", algebra=True, modules=1, subcat=True,
+    add("ar-start", algebra=True, modules=1, subcat=True, seed=True,
         helptext="AR sequence in the subcategory starting at M")
-    p = add("verify-ar", algebra=True, subcat=True,
-            helptext="verify a sequence bundle (morphisms f and g)")
-    p.add_argument("--bundle", required=True)
-    add("theorem51", algebra=True, subcat=True,
+    add("verify-ar", algebra=True, subcat=True, bundle=True, seed=True,
+        helptext="verify a sequence bundle (morphisms f and g)")
+    add("theorem51", algebra=True, subcat=True, seed=True,
         helptext="existence-theorem harness (sequences ending in the subcategory)")
-    add("theorem55", algebra=True, subcat=True,
+    add("theorem55", algebra=True, subcat=True, seed=True,
         helptext="dual harness, run over the dual subcategory")
-    p = add("equiv-4x", helptext="error-term vs stable precover equivalence run")
+    p = add("equiv-4x", seed=True, helptext="error-term vs stable precover equivalence run")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--emit-dir", default=None,
                    help="directory for counterexample bundles")
-    add("exactness-dp", algebra=True,
+    add("exactness-dp", algebra=True, cap=True,
         helptext="exactness of Hom(U, nu P.) for all injective U")
-    p = add("knit", algebra=True, helptext="knitted indecomposables up to cap")
+    p = add("knit", algebra=True, cap=True, helptext="knitted indecomposables up to cap")
     p.add_argument("--direction", choices=("from-projectives", "from-injectives"),
                    default="from-projectives")
-    p = add("replay", helptext="re-run the check recorded in a bundle")
-    p.add_argument("--bundle", required=True)
-    p = add("accept", helptext="run the full acceptance suite")
+    add("replay", bundle=True, helptext="re-run the check recorded in a bundle")
+    p = add("accept", seed=True, helptext="run the full acceptance suite")
     p.add_argument("--emit-dir", default=None)
     return parser
 
 
-def _load_algebra(args):
-    return fileio.read_algebra(args.algebra, prime=args.prime)
-
-
-def _load_module(args, alg, which: str = "module"):
-    return fileio.read_module(getattr(args, which), alg)
+def _load(args) -> tuple:
+    """(algebra, modules, subcategory, bundle): the input files the verb
+    declared, read in this order; None (no modules) where it declared none."""
+    alg = fileio.read_algebra(args.algebra, prime=args.prime) if "algebra" in args else None
+    mods = [fileio.read_module(getattr(args, flag), alg) for flag in _MODULE_FLAGS if flag in args]
+    sub = fileio.read_subcat(args.subcat, alg) if "subcat" in args else None
+    bundle = (
+        fileio.read_bundle(args.bundle, prime=args.prime, algebra=alg)
+        if "bundle" in args
+        else None
+    )
+    return alg, mods, sub, bundle
 
 
 def _say_header(out, args):
-    out.say(f"seed={args.seed} cap={args.cap}")
+    """Echo --seed and --cap where the verb takes them; no line otherwise."""
+    echoed = [f"{flag}={getattr(args, flag)}" for flag in ("seed", "cap") if flag in args]
+    if echoed:
+        out.say(" ".join(echoed))
 
 
 def _say_module(out, m, name):
@@ -165,61 +182,39 @@ def _say_ses(out, ses):
     out.say(fileio.format_ses(ses).rstrip("\n"))
 
 
-def _dispatch(args, out) -> int:
+def _dispatch(args, out, alg, mods, sub, bundle) -> int:
     verb = args.verb
     if verb == "hom":
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        n = _load_module(args, alg, "module2")
-        hs = hom_basis(m, n)
-        _say_header(out, args)
+        hs = hom_basis(*mods)
         out.say(f"dim Hom = {hs.dim}")
         for i, f in enumerate(hs.basis):
             out.say(fileio.format_morphism(f, f"h{i}", "M", "N").rstrip("\n"))
         return EXIT_PASS
 
     if verb == "ext1":
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        n = _load_module(args, alg, "module2")
-        _say_header(out, args)
-        out.say(f"dim Ext1 = {ext1(m, n).dim}")
+        out.say(f"dim Ext1 = {ext1(*mods).dim}")
         return EXIT_PASS
 
     if verb in ("dtr", "trd", "transpose", "dual"):
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
         fn = {"dtr": dtr, "trd": trd, "transpose": transpose, "dual": dual}[verb]
-        result = fn(m)
-        _say_header(out, args)
+        result = fn(*mods)
         if verb in ("transpose", "dual"):
             out.say("# module over the opposite algebra")
         _say_module(out, result, verb.upper())
         return EXIT_PASS
 
     if verb == "decompose":
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        _say_header(out, args)
-        for k, piece in enumerate(decompose(m, seed=args.seed)):
+        for k, piece in enumerate(decompose(*mods, seed=args.seed)):
             out.say(f"# summand {k} multiplicity {piece.multiplicity}")
             _say_module(out, piece.rep, f"X{k}")
         return EXIT_PASS
 
     if verb == "indec":
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        _say_header(out, args)
-        verdict = is_indecomposable(m)
-        out.say(f"indecomposable = {str(verdict).lower()}")
+        out.say(f"indecomposable = {str(is_indecomposable(*mods)).lower()}")
         return EXIT_PASS
 
     if verb == "stable-hom":
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        n = _load_module(args, alg, "module2")
-        sh = stable_hom(m, n, args.variant)
-        _say_header(out, args)
+        sh = stable_hom(*mods, args.variant)
         out.say(
             f"dim Hom = {sh.hom.dim}; ideal dim = {sh.ideal_dim}; "
             f"stable dim = {sh.dim} ({args.variant})"
@@ -227,34 +222,23 @@ def _dispatch(args, out) -> int:
         return EXIT_PASS
 
     if verb == "precover":
-        alg = _load_algebra(args)
-        t = _load_module(args, alg)
-        sub = fileio.read_subcat(args.subcat, alg)
-        nu, build = canonical_precover(sub, t, args.variant)
+        nu, build = canonical_precover(sub, *mods, args.variant)
         report = is_precover(nu, sub, args.variant)
-        _say_header(out, args)
         out.say(f"contributing = {[(g.dims, d) for g, d in build.contributing]}")
         out.say(f"precover verified = {str(report.passed).lower()}")
         _say_module(out, nu.source, "N")
         return EXIT_PASS if report.passed else EXIT_FAIL
 
     if verb == "preenvelope":
-        alg = _load_algebra(args)
-        l_mod = _load_module(args, alg)
-        sub = fileio.read_subcat(args.subcat, alg)
-        mu, build = preenvelope_via_duality(sub, l_mod, args.variant)
+        mu, build = preenvelope_via_duality(sub, *mods, args.variant)
         report = is_preenvelope(mu, sub, args.variant)
-        _say_header(out, args)
         out.say(f"preenvelope verified = {str(report.passed).lower()}")
         _say_module(out, mu.target, "E")
         return EXIT_PASS if report.passed else EXIT_FAIL
 
     if verb == "minimal":
-        alg = _load_algebra(args)
-        bundle = fileio.read_bundle(args.bundle, prime=args.prime, algebra=alg)
         nu = bundle.morphisms[args.morphism]
         reduced = right_minimal_reduce(nu)
-        _say_header(out, args)
         out.say(
             f"source dim {nu.source.total_dim} -> {reduced.source.total_dim}; "
             f"right minimal = {str(right_minimality_certificate(reduced)).lower()}"
@@ -263,27 +247,20 @@ def _dispatch(args, out) -> int:
         return EXIT_PASS
 
     if verb == "audit-subcat":
-        alg = _load_algebra(args)
-        sub = fileio.read_subcat(args.subcat, alg)
         report = audit_extension_closed(sub, bound=args.bound, seed=args.seed)
-        _say_header(out, args)
         out.say(f"sampling = {report.sampling_policy}")
         out.say(
             f"extension closed = {str(report.passed).lower()} "
             f"({report.pairs_checked} pairs, {report.classes_checked} classes)"
         )
-        for z, x, coords, bad in report.failures:
+        for *_, bad in report.failures:
             out.say("# witness middle outside subcategory:")
-            if bad is not None:
-                _say_module(out, bad, "BAD")
+            _say_module(out, bad, "BAD")
         return EXIT_PASS if report.passed else EXIT_FAIL
 
     if verb == "ar-global":
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        _say_header(out, args)
         try:
-            ses = ar_sequence_global(m)
+            ses = ar_sequence_global(*mods)
         except PrimeTooSmall:
             raise
         except (ValueError, RuntimeError) as exc:
@@ -293,12 +270,8 @@ def _dispatch(args, out) -> int:
         return EXIT_PASS
 
     if verb in ("ar-end", "ar-start"):
-        alg = _load_algebra(args)
-        m = _load_module(args, alg)
-        sub = fileio.read_subcat(args.subcat, alg)
         fn = ar_end_in_subcat if verb == "ar-end" else ar_start_in_subcat
-        outcome = fn(m, sub, seed=args.seed)
-        _say_header(out, args)
+        outcome = fn(*mods, sub, seed=args.seed)
         out.say(f"# {sub.describe()}")
         out.say(f"status = {outcome.status}")
         if outcome.diagnostics:
@@ -309,12 +282,8 @@ def _dispatch(args, out) -> int:
         return EXIT_PASS if outcome.status == "hypothesis-not-satisfied" else EXIT_FAIL
 
     if verb == "verify-ar":
-        alg = _load_algebra(args)
-        sub = fileio.read_subcat(args.subcat, alg)
-        bundle = fileio.read_bundle(args.bundle, prime=args.prime, algebra=alg)
         ses = SES(bundle.morphisms["f"], bundle.morphisms["g"])
         report = verify_ar_sequence(ses, sub, seed=args.seed)
-        _say_header(out, args)
         out.say(f"# {sub.describe()}")
         out.say(f"membership = {report.membership}")
         out.say(f"right almost split = {str(report.right_report.passed).lower()}")
@@ -325,15 +294,12 @@ def _dispatch(args, out) -> int:
         return EXIT_PASS if report.passed else EXIT_FAIL
 
     if verb in ("theorem51", "theorem55"):
-        alg = _load_algebra(args)
-        sub = fileio.read_subcat(args.subcat, alg)
         if verb == "theorem55":
             sub = dual_subcat(sub)
             note = "dual subcategory over the opposite algebra"
         else:
             note = sub.describe()
         report = theorem_harness(sub, seed=args.seed)
-        _say_header(out, args)
         out.say(f"# {note}")
         out.say(report.machine_block() or "# no rows")
         out.say(f"harness passed = {str(report.passed).lower()}")
@@ -341,55 +307,38 @@ def _dispatch(args, out) -> int:
 
     if verb == "equiv-4x":
         report = check_equiv_error_vs_stable(args.instances, seed=args.seed)
-        _say_header(out, args)
         out.say(f"agreements = {report.agreements}/{args.instances}")
-        if report.disagreements:
-            emit_dir = args.emit_dir or "."
-            for k, inst in enumerate(report.disagreements):
-                path = os.path.join(emit_dir, f"equiv-disagreement-{k}.bundle")
-                acceptance._emit_equiv_bundle(inst, args.seed, path)
-                out.say(f"counterexample written to {path}")
-            return EXIT_FAIL
-        return EXIT_PASS
+        if not report.disagreements:
+            return EXIT_PASS
+        emit_dir = args.emit_dir or "."
+        for path in acceptance.write_equiv_bundles(report.disagreements, args.seed, emit_dir):
+            out.say(f"counterexample written to {path}")
+        return EXIT_FAIL
 
     if verb == "exactness-dp":
-        alg = _load_algebra(args)
-        mods = acceptance.corpus_indecomposables(alg, cap=args.cap)
-        injectives = [inj(alg, v) for v in range(1, alg.quiver.n + 1)]
-        failures = []
-        pairs = 0
-        for u in injectives:
-            for m in mods:
-                pairs += 1
-                if not check_exactness_DP(u, m):
-                    failures.append((u.dims, m.dims))
-        _say_header(out, args)
-        out.say(f"pairs = {pairs}; failures = {failures}")
+        pairs, failures = acceptance.exactness_failures(alg, args.cap)
+        out.say(f"pairs = {pairs}; failures = {[(u.dims, m.dims) for u, m in failures]}")
         return EXIT_PASS if not failures else EXIT_FAIL
 
     if verb == "knit":
-        alg = _load_algebra(args)
         table = enumerate_indec(alg, args.cap, args.direction)
-        _say_header(out, args)
         out.say(f"direction = {args.direction}; truncated = {str(table.truncated).lower()}")
         for m in table.members:
             out.say(f"member dims = {m.dims}")
         return EXIT_PASS
 
     if verb == "replay":
-        return _replay(args, out)
+        return _replay(bundle, out)
 
     if verb == "accept":
         results = acceptance.run_all(seed=args.seed, out_dir=args.emit_dir)
-        _say_header(out, args)
         out.say(acceptance.format_report(results, seed=args.seed))
         return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
 
     raise AssertionError(f"unhandled verb {verb!r}")
 
 
-def _replay(args, out) -> int:
-    bundle = fileio.read_bundle(args.bundle, prime=args.prime)
+def _replay(bundle, out) -> int:
     check = bundle.check
     verb = check.get("verb")
     out.say(f"replaying check verb = {verb}")
@@ -404,8 +353,6 @@ def _replay(args, out) -> int:
         data = dtr_data(m)
         # re-anchor the stored target at the recomputed DTr M (entry-identical
         # by determinism, but a distinct object after parsing)
-        from .rep import RepMap
-
         nu = RepMap(nu.source, data.rep, nu.blocks, check=True)
         err = is_precover_with_error_term(nu, gens, m)
         stab = is_stable_precover(nu, gens, m, data)
@@ -424,9 +371,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
-    out = _Output(getattr(args, "out", None))
+    out = _Output(args.out)
     try:
-        code = _dispatch(args, out)
+        inputs = _load(args)
+        _say_header(out, args)
+        code = _dispatch(args, out, *inputs)
     except (CapExceeded, PrimeTooSmall, ModulusTooLarge) as exc:
         out.say(f"guard: {exc}")
         code = EXIT_GUARD

@@ -31,6 +31,7 @@ from .homological import (
     second_step,
 )
 from .rep import (
+    DEFAULT_SEED,
     HomQuotient,
     Rep,
     RepMap,
@@ -43,8 +44,6 @@ from .rep import (
     iso,
     zero_map,
 )
-
-DEFAULT_SEED = 1
 
 
 def factors_through_injective(f: RepMap):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arquiver import approx
 from arquiver.approx import (
     CapExceeded,
     Subcat,
@@ -17,6 +18,7 @@ from arquiver.approx import (
 from arquiver.homological import dtr, proj
 from arquiver.rep import (
     Rep,
+    decompose,
     direct_sum,
     dual,
     identity_map,
@@ -75,7 +77,6 @@ def test_contains_family_and_cap(alg_kronecker):
 def test_audit_pass_whole_category(whole_a2):
     report = audit_extension_closed(whole_a2)
     assert report.passed
-    assert whole_a2.audit_status == "passed"
 
 
 def test_audit_pass_no_ext(alg_a2):
@@ -90,6 +91,24 @@ def test_audit_fail_s1_s2(alg_a2):
     z, x, coords, bad = report.failures[0]
     assert bad is not None
     assert iso(bad, proj(alg_a2, 1)) is not None
+
+
+def test_audit_decomposes_each_class_once(alg_kronecker, monkeypatch):
+    # every middle of Ext^1 between the Kronecker simples is regular, so
+    # every class fails; its outside summand comes from that one decomposition
+    calls = []
+
+    def counting(m, seed):
+        calls.append(m)
+        return decompose(m, seed=seed)
+
+    monkeypatch.setattr(approx, "decompose", counting)
+    sub = Subcat(alg_kronecker, "finite", [simple(alg_kronecker, 1), simple(alg_kronecker, 2)])
+    report = audit_extension_closed(sub)
+    assert report.classes_checked > 1
+    assert len(report.failures) == report.classes_checked
+    assert len(calls) == report.classes_checked
+    assert all(bad.dims == (1, 1) for _, _, _, bad in report.failures)
 
 
 def test_audit_postprojective_family(alg_kronecker):

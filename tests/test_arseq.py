@@ -3,7 +3,7 @@ import pytest
 
 from arquiver import arseq, corpus, linalg
 from arquiver.acceptance import corpus_indecomposables
-from arquiver.approx import Subcat
+from arquiver.approx import Subcat, canonical_precover
 from arquiver.arseq import (
     almost_split,
     ar_end_in_subcat,
@@ -360,6 +360,20 @@ def test_theorem_harness_kronecker(alg_kronecker):
     eligible = [r for r in report.rows if r.eligible]
     assert eligible
     assert all(r.i_verdict == "pass" and r.ii_verdict == "pass" for r in eligible)
+
+
+def test_theorem_harness_builds_one_precover_per_eligible_row(alg_kronecker, monkeypatch):
+    # verdict (i) reads the precover ar_end_in_subcat built for verdict (ii)
+    calls = []
+
+    def counting(sub, t, variant):
+        calls.append(t)
+        return canonical_precover(sub, t, variant)
+
+    monkeypatch.setattr(arseq, "canonical_precover", counting)
+    report = theorem_harness(Subcat(alg_kronecker, "postprojective", [], cap=9))
+    assert report.passed
+    assert len(calls) == sum(r.eligible for r in report.rows) > 0
 
 
 def test_uniqueness_of_left_term(alg_a2, whole_a2, classical_a2):

@@ -48,7 +48,9 @@ def test_dtr_prints_module_iso_to_s2(a2_files, capsys):
     )
     assert code == 0
     text = capsys.readouterr().out
-    assert "seed=1 cap=13" in text
+    # dtr takes neither --seed nor --cap, so it prints no header line
+    assert text.startswith("module DTR\n")
+    assert "seed=" not in text and "cap=" not in text
     block = "module" + text.split("module", 1)[1]
     alg = corpus.a2()
     back = fileio.parse_module(block, alg)
@@ -115,10 +117,10 @@ def test_ar_end_and_start(a2_files, capsys):
             "--subcat", str(a2_files / "whole.sub")]
     assert run(["ar-end", "--module", str(a2_files / "s1.mod")] + base) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["seed=1 cap=13", "# finite[3 gens]", "status = found"]
+    assert lines[:3] == ["seed=1", "# finite[3 gens]", "status = found"]
     assert run(["ar-start", "--module", str(a2_files / "s2.mod")] + base) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["seed=1 cap=13", "# finite[3 gens]", "status = found"]
+    assert lines[:3] == ["seed=1", "# finite[3 gens]", "status = found"]
     # projective end: hypothesis not satisfied, still exit 0
     assert run(["ar-end", "--module", str(a2_files / "p1.mod")] + base) == 0
     assert "hypothesis-not-satisfied" in capsys.readouterr().out
@@ -141,7 +143,7 @@ def test_verify_ar_bundle(a2_files, tmp_path, capsys):
             "--subcat", str(a2_files / "whole.sub")]
     assert run(["verify-ar", "--bundle", str(good_path)] + base) == 0
     text = capsys.readouterr().out
-    assert text.splitlines()[:2] == ["seed=1 cap=13", "# finite[3 gens]"]
+    assert text.splitlines()[:2] == ["seed=1", "# finite[3 gens]"]
     assert "verified = true" in text
 
     total, injs, projs = direct_sum([s2, s1])
@@ -287,12 +289,69 @@ def test_ar_start_guard_exit_code(kron_files, tmp_path, capsys):
 
 
 def test_ar_end_shows_the_family_cap(kron_files, capsys):
-    # the header's cap= is the CLI flag; the family's own cap is shown below it
+    # ar-end takes no --cap; the family's own cap is shown below the header
     assert run(["ar-end", "--algebra", str(kron_files / "kron.alg"),
                 "--module", str(kron_files / "p2.mod"),
-                "--subcat", str(kron_files / "pp13.sub"), "--cap", "5"]) == 0
+                "--subcat", str(kron_files / "pp13.sub")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["seed=1 cap=5", "# postprojective[cap 13]", "status = found"]
+    assert lines[:3] == ["seed=1", "# postprojective[cap 13]", "status = found"]
+
+
+# the shared flags each verb reads: --seed where it passes a seed on, --cap
+# where it knits, --prime where it reads an algebra or a bundle, --out always
+VERB_FLAGS = {
+    "hom": "prime", "ext1": "prime", "dtr": "prime", "trd": "prime",
+    "transpose": "prime", "dual": "prime", "decompose": "prime seed",
+    "indec": "prime", "stable-hom": "prime", "precover": "prime",
+    "preenvelope": "prime", "minimal": "prime", "audit-subcat": "prime seed",
+    "ar-global": "prime", "ar-end": "prime seed", "ar-start": "prime seed",
+    "verify-ar": "prime seed", "theorem51": "prime seed", "theorem55": "prime seed",
+    "equiv-4x": "seed", "exactness-dp": "prime cap", "knit": "prime cap",
+    "replay": "prime", "accept": "seed",
+}
+
+
+def test_each_verb_takes_only_the_flags_it_reads(capsys):
+    shared = 0
+    for verb, flags in VERB_FLAGS.items():
+        assert run([verb, "--help"]) == 0
+        text = capsys.readouterr().out
+        got = {flag for flag in ("seed", "cap", "prime", "out") if f"--{flag}" in text}
+        assert got == set(flags.split()) | {"out"}, verb
+        shared += len(got)
+    assert shared == 57
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ar-end", "--algebra", "a.alg", "--module", "m.mod", "--subcat", "s.sub",
+         "--cap", "5"],
+        ["dtr", "--algebra", "a.alg", "--module", "m.mod", "--seed", "2"],
+        ["hom", "--algebra", "a.alg", "--module", "m.mod", "--module2", "n.mod",
+         "--cap", "5"],
+        ["theorem51", "--algebra", "a.alg", "--subcat", "s.sub", "--cap", "5"],
+        ["accept", "--prime", "5"],
+        ["equiv-4x", "--prime", "5"],
+        ["knit", "--algebra", "a.alg", "--seed", "2"],
+    ],
+)
+def test_an_unread_flag_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_decompose_echoes_its_seed(a2_files, capsys):
+    assert run(["decompose", "--algebra", str(a2_files / "a2.alg"),
+                "--module", str(a2_files / "p1.mod"), "--seed", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "seed=2", "# summand 0 multiplicity 1"
+    ]
+
+
+def test_knit_echoes_its_cap(kron_files, capsys):
+    assert run(["knit", "--algebra", str(kron_files / "kron.alg"), "--cap", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cap=7"
 
 
 def test_minimal_reduces_a_redundant_source(a2_files, tmp_path, capsys):
@@ -307,7 +366,7 @@ def test_minimal_reduces_a_redundant_source(a2_files, tmp_path, capsys):
     assert run(["minimal", "--algebra", str(a2_files / "a2.alg"),
                 "--bundle", str(tmp_path / "nu.bundle")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "source dim 2 -> 1; right minimal = true"
+    assert lines[0] == "source dim 2 -> 1; right minimal = true"
 
 
 @pytest.mark.parametrize(
