@@ -237,7 +237,7 @@ def _dispatch(args, out, alg, mods, sub, bundle) -> int:
         return EXIT_PASS if report.passed else EXIT_FAIL
 
     if verb == "minimal":
-        nu = bundle.morphisms[args.morphism]
+        nu = bundle.morphism(args.morphism)
         reduced = right_minimal_reduce(nu)
         out.say(
             f"source dim {nu.source.total_dim} -> {reduced.source.total_dim}; "
@@ -282,7 +282,7 @@ def _dispatch(args, out, alg, mods, sub, bundle) -> int:
         return EXIT_PASS if outcome.status == "hypothesis-not-satisfied" else EXIT_FAIL
 
     if verb == "verify-ar":
-        ses = SES(bundle.morphisms["f"], bundle.morphisms["g"])
+        ses = SES(bundle.morphism("f"), bundle.morphism("g"))
         report = verify_ar_sequence(ses, sub, seed=args.seed)
         out.say(f"# {sub.describe()}")
         out.say(f"membership = {report.membership}")
@@ -343,10 +343,10 @@ def _replay(bundle, out) -> int:
     verb = check.get("verb")
     out.say(f"replaying check verb = {verb}")
     if verb == "equiv-4x":
-        m = bundle.modules[check["module"]]
-        nu = bundle.morphisms[check["nu"]]
+        m = bundle.module(bundle.option("module"))
+        nu = bundle.morphism(bundle.option("nu"))
         gens = [
-            bundle.modules[name]
+            bundle.module(name)
             for name in check.get("gens", "").split(",")
             if name
         ]
@@ -379,7 +379,7 @@ def run(argv=None) -> int:
     except (CapExceeded, PrimeTooSmall, ModulusTooLarge) as exc:
         out.say(f"guard: {exc}")
         code = EXIT_GUARD
-    except (fileio.ParseError, FileNotFoundError, KeyError) as exc:
+    except (fileio.ParseError, FileNotFoundError) as exc:
         out.say(f"usage error: {exc}")
         code = EXIT_USAGE
     out.flush()

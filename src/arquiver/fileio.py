@@ -289,6 +289,16 @@ class Bundle:
     morphisms: dict = field(default_factory=dict)  # name -> RepMap
     check: dict = field(default_factory=dict)  # verb plus key=value options
 
+    # lookups by name: a missing entry is a ParseError, not a KeyError
+    def module(self, name: str) -> Rep:
+        return _bundle_entry(self.modules, "module", name)
+
+    def morphism(self, name: str) -> RepMap:
+        return _bundle_entry(self.morphisms, "morphism", name)
+
+    def option(self, key: str) -> str:
+        return _bundle_entry(self.check, "check option", key)
+
     def format(self) -> str:
         chunks = [BUNDLE_HEADER, "begin algebra"]
         chunks.append(format_algebra(self.algebra).rstrip("\n"))
@@ -320,6 +330,12 @@ class Bundle:
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.format())
+
+
+def _bundle_entry(entries: dict, kind: str, name: str):
+    if name not in entries:
+        raise ParseError(f"bundle has no {kind} {name!r}")
+    return entries[name]
 
 
 def parse_bundle(text: str, prime: int | None = None, algebra: Algebra | None = None) -> Bundle:

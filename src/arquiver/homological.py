@@ -68,6 +68,16 @@ def inj(alg: Algebra, v: int) -> Rep:
     return m
 
 
+@memoized
+def _proj_sum_rep(alg: Algebra, vertices: tuple) -> Rep:
+    """The sum of proj(alg, w) over vertices, memoized (memo.memoized) on the
+    algebra: presentations with the same P0 share one module, and with it
+    its Hom memos."""
+    if not vertices:
+        return zero_rep(alg)
+    return direct_sum([proj(alg, w) for w in vertices])[0]
+
+
 @dataclass(eq=False)
 class ProjSum:
     """A finite direct sum of indecomposable projectives with a fixed layout.
@@ -89,13 +99,7 @@ class ProjSum:
             for u in range(1, n + 1):
                 self._offsets[u - 1][j] = dims[u - 1]
                 dims[u - 1] += len(alg.basis_paths(w, u))
-        if self.vertices:
-            self.rep, self.injections, self.projections = direct_sum(
-                [proj(alg, w) for w in self.vertices]
-            )
-        else:
-            self.rep = zero_rep(alg)
-            self.injections, self.projections = [], []
+        self.rep = _proj_sum_rep(alg, self.vertices)
 
     @property
     def count(self) -> int:

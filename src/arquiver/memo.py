@@ -6,7 +6,8 @@ computed once and kept in the `_memo` dict of its first argument, so it
 lives exactly as long as that object does.  Modules compare by identity
 (`Rep` is `eq=False`), so a module in a key is matched by identity and kept
 alive by the memo.  Since every caller then shares one module, the arrays of
-`Rep` and `RepMap` are read-only.
+`Rep` and `RepMap` are read-only.  `rep.decompose` keeps its answers in the
+algebra's `_memo` too, keyed by module content and holding arrays only.
 """
 
 from __future__ import annotations

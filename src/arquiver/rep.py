@@ -862,7 +862,57 @@ def decompose(m: Rep, seed: int = DEFAULT_SEED) -> list:
 
     Returns a list of Summand records; inclusion/projection witnesses are
     the split maps into/out of m (one pair per copy).
+
+    The answer is a function of the content of m and the seed, so it is
+    kept in the algebra's memo under (seed, dims, map bytes), as arrays
+    only: a module equal to m entry for entry gets the same pieces and
+    witness blocks, rebuilt as new objects around it, and the table keeps
+    no module alive.
     """
+    key = (decompose, seed, m.dims, b"".join(b.tobytes() for b in m.maps.values()))
+    memo = m.algebra._memo
+    if key not in memo:
+        groups = _decompose(m, seed)
+        memo[key] = tuple(
+            tuple(_copy_arrays(m, incl, pr) for incl, pr in zip(g.inclusions, g.projections))
+            for g in groups
+        )
+        return groups
+    out = []
+    for copies in memo[key]:
+        pieces = [_copy_from_arrays(m, arrays) for arrays in copies]
+        out.append(
+            Summand(
+                pieces[0][0],
+                len(pieces),
+                [incl for _, incl, _ in pieces],
+                [pr for _, _, pr in pieces],
+            )
+        )
+    return out
+
+
+def _copy_arrays(m: Rep, incl: RepMap, proj: RepMap):
+    """One copy of a summand of m as arrays: (dims, maps in arrow order,
+    inclusion blocks, projection blocks), or None when the copy is m itself
+    (an indecomposable m, with identity witnesses)."""
+    piece = incl.source
+    if piece is m:
+        return None
+    return piece.dims, tuple(piece.maps.values()), incl.blocks, proj.blocks
+
+
+def _copy_from_arrays(m: Rep, arrays) -> tuple:
+    """(piece, inclusion, projection) of a stored copy, rebuilt around m."""
+    if arrays is None:
+        ident = identity_map(m)
+        return m, ident, ident
+    dims, maps, incl, proj = arrays
+    piece = Rep(m.algebra, dims, dict(zip(m.maps, maps)))
+    return piece, RepMap(piece, m, incl, check=False), RepMap(m, piece, proj, check=False)
+
+
+def _decompose(m: Rep, seed: int) -> list:
     rng = random.Random(seed)
     pieces = _split_indecomposables(m, rng)
     groups: list[Summand] = []

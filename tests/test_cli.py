@@ -496,3 +496,41 @@ def test_non_commuting_bundle_morphism_is_a_usage_error(a2_files, tmp_path, caps
     assert code == 2
     out = capsys.readouterr().out.strip()
     assert out == "usage error: morphism 'nu': map does not commute with arrow 'a'"
+
+
+def test_a_bundle_without_the_named_entry_is_a_usage_error(a2_files, tmp_path, capsys):
+    # a `minimal` bundle holds the morphism nu, not the f and g of verify-ar
+    alg = corpus.a2()
+    s1 = simple(alg, 1)
+    fileio.Bundle(
+        alg, modules={"S1": s1}, morphisms={"nu": identity_map(s1)},
+        check={"verb": "minimal"},
+    ).write(str(tmp_path / "nu.bundle"))
+    code = run(["verify-ar", "--bundle", str(tmp_path / "nu.bundle"),
+                "--algebra", str(a2_files / "a2.alg"),
+                "--subcat", str(a2_files / "whole.sub")])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "usage error: bundle has no morphism 'f'"
+    code = run(["minimal", "--bundle", str(tmp_path / "nu.bundle"),
+                "--algebra", str(a2_files / "a2.alg"), "--morphism", "mu"])
+    assert code == 2
+    assert capsys.readouterr().out.strip() == "usage error: bundle has no morphism 'mu'"
+    fileio.Bundle(
+        alg, modules={"S1": s1}, morphisms={"nu": identity_map(s1)},
+        check={"verb": "equiv-4x", "nu": "nu"},
+    ).write(str(tmp_path / "replay.bundle"))
+    assert run(["replay", "--bundle", str(tmp_path / "replay.bundle")]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "usage error: bundle has no check option 'module'"
+
+
+def test_a_key_error_inside_a_verb_is_not_a_usage_error(a2_files, monkeypatch):
+    from arquiver import cli
+
+    def broken(*_):
+        raise KeyError("fault in the library")
+
+    monkeypatch.setattr(cli, "hom_basis", broken)
+    with pytest.raises(KeyError):
+        run(["hom", "--algebra", str(a2_files / "a2.alg"),
+             "--module", str(a2_files / "s1.mod"), "--module2", str(a2_files / "p1.mod")])

@@ -127,6 +127,17 @@ def test_one_presentation_per_module(alg_kronecker):
     assert ext1(m, b).pres is pres
 
 
+def test_one_projective_sum_per_vertex_tuple(alg_kronecker):
+    # two regular modules with top S1: both presentations have P0 = P1
+    m = Rep(alg_kronecker, (1, 1), {"a": [[1]], "b": [[2]]})
+    n = Rep(alg_kronecker, (1, 1), {"a": [[1]], "b": [[3]]})
+    p0 = min_presentation(m).p0.rep
+    assert min_presentation(n).p0.rep is p0
+    assert ProjSum(alg_kronecker, (1,)).rep is p0
+    assert ProjSum(alg_kronecker, (1, 1)).rep is not p0
+    assert min_presentation(m).p1.rep is min_presentation(n).p1.rep
+
+
 def test_pathcoeffmap_roundtrip(alg_a3):
     ps1 = ProjSum(alg_a3, (3,))
     ps0 = ProjSum(alg_a3, (1,))

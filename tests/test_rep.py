@@ -1,9 +1,13 @@
+import gc
+import random
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import linalg, rep
+from arquiver import corpus, linalg, rep
 from arquiver.homological import dtr_data, injective_envelope, proj, projective_cover
 from arquiver.rep import (
     EndAlgebra,
@@ -26,6 +30,7 @@ from arquiver.rep import (
     simple,
     zero_rep,
 )
+from test_end_algebra import hidden_sum
 
 
 @pytest.fixture(scope="module")
@@ -429,3 +434,103 @@ def test_memo_keys_modules_by_identity(alg_a2, p1):
 def test_memo_on_the_algebra(alg_kronecker):
     assert proj(alg_kronecker, 1) is proj(alg_kronecker, 1)
     assert proj(alg_kronecker, 1) is not proj(alg_kronecker, 2)
+
+
+# -- the decompose table ------------------------------------------------------
+
+
+def _table_keys(alg) -> list:
+    return [k for k in alg._memo if k[0] is decompose]
+
+
+def _entry_copy(m: Rep) -> Rep:
+    return Rep(m.algebra, m.dims, {k: b.copy() for k, b in m.maps.items()})
+
+
+def _decomposition_arrays(groups) -> list:
+    """Every piece and witness block of a decomposition, as bytes."""
+
+    def arrays(incl, pr):
+        piece = incl.source
+        return (
+            piece.dims,
+            [piece.maps[k].tobytes() for k in sorted(piece.maps)],
+            [b.tobytes() for b in incl.blocks],
+            [b.tobytes() for b in pr.blocks],
+        )
+
+    return [
+        (g.multiplicity, [arrays(i, pr) for i, pr in zip(g.inclusions, g.projections)])
+        for g in groups
+    ]
+
+
+def _table_modules(p: int) -> list:
+    """(module, number of pieces): seeded hidden sums over the Kronecker
+    and A3 algebras, and one indecomposable, small enough for End at p = 7."""
+    rng = random.Random(p)
+    kron, a3 = corpus.kronecker(p), corpus.a3(p)
+    return [
+        (hidden_sum([simple(kron, 1), simple(kron, 2)], rng), 2),
+        (hidden_sum([simple(kron, 1), simple(kron, 1)], rng), 2),
+        (hidden_sum([proj(kron, 1), simple(kron, 2)], rng), 2),
+        (hidden_sum([simple(a3, 1), simple(a3, 2), simple(a3, 3)], rng), 3),
+        (hidden_sum([proj(a3, v) for v in (1, 2, 3)], rng), 3),
+        (proj(kron, 2), 1),
+    ]
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_decompose_table_serves_entry_identical_copies(p, monkeypatch):
+    computed = []
+    cold_decompose = rep._decompose
+
+    def counted(m, seed):
+        computed.append((m, seed))
+        return cold_decompose(m, seed)
+
+    monkeypatch.setattr(rep, "_decompose", counted)
+    for m, pieces in _table_modules(p):
+        alg = m.algebra
+        decompose(m, seed=5)
+        fresh = _entry_copy(m)
+        computed.clear()
+        served = decompose(fresh, seed=5)
+        assert computed == []
+        for g in served:
+            for incl, pr in zip(g.inclusions, g.projections):
+                assert incl.target is fresh and pr.source is fresh
+                assert incl.source is not m and pr.target is not m
+        # a second seed has an entry of its own
+        decompose(fresh, seed=6)
+        assert [s for _, s in computed] == [6]
+        for k in _table_keys(alg):
+            del alg._memo[k]
+        cold = decompose(_entry_copy(m), seed=5)
+        assert _decomposition_arrays(served) == _decomposition_arrays(cold)
+        assert sum(g.multiplicity for g in served) == pieces
+        if pieces == 1:
+            assert served[0].rep is fresh
+
+
+def test_decompose_table_holds_only_arrays(alg_kronecker):
+    def only_arrays(x):
+        if isinstance(x, tuple):
+            return all(only_arrays(y) for y in x)
+        return x is None or isinstance(x, (int, np.ndarray))
+
+    decompose(hidden_sum([simple(alg_kronecker, 1), proj(alg_kronecker, 2)], random.Random(1)))
+    decompose(proj(alg_kronecker, 1))
+    keys = _table_keys(alg_kronecker)
+    assert keys
+    assert all(only_arrays(alg_kronecker._memo[k]) for k in keys)
+
+
+def test_decompose_table_keeps_no_module_alive(alg_kronecker):
+    m = hidden_sum([simple(alg_kronecker, 1), simple(alg_kronecker, 2)], random.Random(2))
+    parts = decompose(m)
+    again = decompose(_entry_copy(m))
+    refs = [weakref.ref(x) for x in (m, parts[0].rep, again[0].rep)]
+    del m, parts, again
+    gc.collect()
+    assert all(r() is None for r in refs)
