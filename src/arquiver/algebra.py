@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from . import linalg
+from .fpoly import is_prime
 from .linalg import DEFAULT_PRIME
 
 MAX_PATH_LENGTH = 64
@@ -139,7 +139,7 @@ def _validate_relation(quiver: Quiver, rel: Relation) -> dict:
 def check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime small enough for exact int64
     products ((p-1)**2 < 2**63)."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"field modulus {p} is not a prime")
     if (p - 1) ** 2 >= linalg.INT64_LIMIT:
         raise ValueError(f"field modulus {p} is too large: (p-1)**2 >= 2**63")

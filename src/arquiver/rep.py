@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from . import linalg
 from .algebra import Algebra
+from .fpoly import factor_mod as _factor_mod  # a module global, so it can be wrapped
 from .linalg import matmul
 from .memo import memoized
 
@@ -706,18 +706,6 @@ def is_indecomposable(m: Rep) -> bool:
 # -- decomposition ----------------------------------------------------------
 
 
-def _factor_mod(coeffs: list, p: int) -> list:
-    """[(factor coeffs ascending, multiplicity)] over F_p."""
-    x = sympy.symbols("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
-    _, factors = poly.factor_list()
-    out = []
-    for f, mult in factors:
-        fc = [int(c) % p for c in reversed(f.all_coeffs())]
-        out.append((fc, int(mult)))
-    return out
-
-
 def _poly_of_endo(f: RepMap, coeffs: list) -> RepMap:
     """Evaluate a polynomial on an endomorphism, vertexwise."""
     p = f.p
@@ -766,8 +754,8 @@ def fitting_pieces(end: EndAlgebra, w) -> list:
     of the minimal polynomial of w, the subrep being ker g(w)^N, N = total
     dim.  Pieces are ordered by (deg g, dim piece / deg g, coefficients of g
     from the top); dim piece / deg g is the multiplicity of g in the
-    characteristic polynomial, so this is the order of sympy's factor_list
-    on the characteristic polynomial.
+    characteristic polynomial, so this is the order in which `_factor_mod`
+    lists the factors of the characteristic polynomial.
     """
     m = end.module
     p = end.p

@@ -5,7 +5,8 @@ ran before both moved onto `fitting_pieces`:
 
 - `reference_split_indecomposables` found its pieces from sympy's integer
   characteristic polynomial of the block-diagonal total_dim x total_dim
-  matrix of each candidate, factored with factor_list;
+  matrix of each candidate, factored with sympy's factor_list (not with
+  `rep._factor_mod`, which is code under test);
 - `reference_right_minimal_reduce` built the idempotent from an extended
   gcd of X^a and the rest of the minimal polynomial (CRT), polished it by
   Newton iteration and kept the image of 1 - e.
@@ -44,6 +45,7 @@ from arquiver.rep import (
     zero_rep,
 )
 from test_end_algebra import _corpus_modules, _hidden_sums, hidden_sum, multiply_coords
+from test_fpoly import sympy_factor_list
 
 # -- reference splitter: integer characteristic polynomial --------------------
 
@@ -67,7 +69,7 @@ def reference_pieces(f: RepMap) -> list:
         full[off : off + d, off : off + d] = b
         off += d
     pieces = []
-    for fc, _ in rep._factor_mod(reference_charpoly(full, p), p):
+    for fc, _ in sympy_factor_list(reference_charpoly(full, p), p):
         g = rep._poly_of_endo(f, fc)
         g_power = RepMap(
             m,
@@ -392,7 +394,7 @@ def test_fitting_pieces_follow_charpoly_multiplicity(eigen, dims):
     want = reference_pieces(end.from_coords(w))
     assert [g for g, _, _ in pieces] == [g for g, _, _ in want]
     assert tuple(s.total_dim for _, s, _ in pieces) == dims
-    minpoly_order = [g for g, _ in rep._factor_mod(end.minpoly(w), alg.p)]
+    minpoly_order = [g for g, _ in sympy_factor_list(end.minpoly(w), alg.p)]
     if eigen == (1, 2, 2):
         # the minimal polynomial (X-1)(X-2) lists X-2 first; its
         # multiplicity 2 in the charpoly puts it second
