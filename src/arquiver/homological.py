@@ -13,7 +13,7 @@ as a rep.HomQuotient (`ExtSpace.classes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,7 +219,14 @@ def top_generators(m: Rep) -> list:
     return gens
 
 
-@memoized
+def _cover_on(cover: tuple, m: Rep) -> tuple:
+    """The projective cover of a twin of m as a cover of m: the same
+    ProjSum, its surjection re-targeted."""
+    ps, aug = cover
+    return ps, RepMap(aug.source, m, aug.blocks, check=False)
+
+
+@memoized(rebind=_cover_on)
 def projective_cover(m: Rep) -> tuple:
     """(ProjSum, surjection onto m) with one summand per top generator.
 
@@ -251,7 +258,14 @@ def projective_cover(m: Rep) -> tuple:
     return ps, aug
 
 
-@memoized
+def _envelope_on(envelope: tuple, m: Rep) -> tuple:
+    """The injective envelope of a twin of m as an envelope of m: the same
+    InjSum, its mono re-sourced."""
+    isum, mono = envelope
+    return isum, RepMap(m, mono.target, mono.blocks, check=False)
+
+
+@memoized(rebind=_envelope_on)
 def injective_envelope(m: Rep) -> tuple:
     """(InjSum given as (vertices, rep), mono m -> injective).
 
@@ -313,7 +327,7 @@ class Presentation:
     omega_incl: RepMap  # omega -> P0
 
 
-@memoized
+@memoized(rebind=lambda pres, m: replace(pres, module=m, aug=projective_cover(m)[1]))
 def min_presentation(m: Rep) -> Presentation:
     """Memoized (memo.memoized): DTr, Tr and every ext1(m, -) share it."""
     p0, aug = projective_cover(m)
@@ -357,10 +371,11 @@ class DtrData:
     incl: RepMap  # DTr M -> nu P1
 
 
-@memoized
+@memoized(rebind=lambda data, m: replace(data, module=m, pres=min_presentation(m)))
 def dtr_data(m: Rep) -> DtrData:
     """The presentation of m, nu d1 and DTr M = ker(nu d1), memoized
-    (memo.memoized) on the module."""
+    (memo.memoized) on the module.  Twin modules share one DTr M, and with
+    it its own memo."""
     pres = min_presentation(m)
     nu_d1 = nakayama_of_projmap(pres.d1)
     ker, incl = kernel_of(nu_d1)

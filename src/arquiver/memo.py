@@ -6,8 +6,23 @@ computed once and kept in the `_memo` dict of its first argument, so it
 lives exactly as long as that object does.  Modules compare by identity
 (`Rep` is `eq=False`), so a module in a key is matched by identity and kept
 alive by the memo.  Since every caller then shares one module, the arrays of
-`Rep` and `RepMap` are read-only.  `rep.decompose` keeps its answers in the
-algebra's `_memo` too, keyed by module content and holding arrays only.
+`Rep` and `RepMap` are read-only.
+
+The same content is often rebuilt as a new module: a summand found again, a
+kernel computed twice, a translate of an equal module.  Each algebra keeps,
+weakly, the first live module of each content (`Rep.content_key`, dims and
+map bytes): that module's *twin*, and `Rep.twin` finds it.  A function
+memoized with `rebind` computes on the twins of its module arguments and
+keeps the answer in the twin's memo, so each content is worked out once.
+A caller holding other modules of that content gets `rebind(answer, *its
+modules)`: the same answer re-anchored on its own modules (a Hom space
+whose source is the caller's module, a cover onto it), sharing every array
+and every derived module with the twin's answer.  No memoized answer
+depends on `Rep.name`: names are labels for printing, not content, and
+every derived module is named from the algebra (P1, D(P1)) or not at all,
+so a twin may answer for a module of another name.  `rep.decompose` keeps
+its answers in the algebra's `_memo` too, keyed by module content and
+holding arrays only.
 """
 
 from __future__ import annotations
@@ -15,17 +30,28 @@ from __future__ import annotations
 import functools
 
 
-def memoized(fn):
+def memoized(fn=None, *, rebind=None):
     """fn(obj, *args), stored in obj._memo under (fn, *args) on the first
     call and returned from there afterwards.  A call that raises stores
-    nothing; `obj._memo.clear()` frees everything kept on obj."""
+    nothing; `obj._memo.clear()` frees everything kept on obj.
+
+    With `rebind`, every argument is a module: a call not found by identity
+    is answered from the twins of the arguments, computed there if need be,
+    and rebound onto the caller's modules when they are not the twins."""
+    if fn is None:
+        return functools.partial(memoized, rebind=rebind)
 
     @functools.wraps(fn)
     def wrapper(obj, *args):
         key = (fn, *args)
         memo = obj._memo
         if key not in memo:
-            memo[key] = fn(obj, *args)
+            objs = (obj, *args)
+            twins = objs if rebind is None else tuple(m.twin for m in objs)
+            if twins == objs:
+                memo[key] = fn(*objs)
+            else:
+                memo[key] = rebind(wrapper(*twins), *objs)
         return memo[key]
 
     return wrapper

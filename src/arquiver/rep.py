@@ -8,6 +8,7 @@ Morphisms are one matrix per vertex subject to the commuting conditions.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import random
@@ -105,6 +106,18 @@ class Rep:
         for name in arrows:
             m = matmul(self.maps[name], m, self.p)
         return m
+
+    @functools.cached_property
+    def content_key(self) -> tuple:
+        """(dims, map bytes in arrow order): equal exactly for modules over
+        one algebra that are equal entry for entry."""
+        return self.dims, b"".join(b.tobytes() for b in self.maps.values())
+
+    @property
+    def twin(self) -> "Rep":
+        """The first live module over this algebra with this content:
+        self when no other is alive (memo.memoized)."""
+        return self.algebra._twins.setdefault(self.content_key, self)
 
     def equal(self, other: "Rep") -> bool:
         return (
@@ -255,23 +268,31 @@ class HomSpace:
     source: Rep
     target: Rep
     basis: list  # list of RepMap
+    # flat_matrix and _solver once computed: functions of the basis blocks
+    # alone, so the copies of this space on twin modules (_hom_on) share
+    # the dict
+    _arrays: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @functools.cached_property
+    @property
     def flat_matrix(self) -> np.ndarray:
         """Columns = flattened basis maps."""
-        if not self.basis:
-            n = sum(
-                self.target.dims[i] * self.source.dims[i]
-                for i in range(len(self.source.dims))
-            )
-            return linalg.zeros(n, 0)
-        return np.stack([f.flatten() for f in self.basis], axis=1)
+        arrays = self._arrays
+        if "flat" not in arrays:
+            if self.basis:
+                arrays["flat"] = np.stack([f.flatten() for f in self.basis], axis=1)
+            else:
+                n = sum(
+                    self.target.dims[i] * self.source.dims[i]
+                    for i in range(len(self.source.dims))
+                )
+                arrays["flat"] = linalg.zeros(n, 0)
+        return arrays["flat"]
 
-    @functools.cached_property
+    @property
     def _solver(self):
         """(row selection, inverse of the selected square block).
 
@@ -279,14 +300,17 @@ class HomSpace:
         matrix is invertible; solving against it turns every coords call
         into a single matrix product.
         """
-        p = self.source.p
-        a = self.flat_matrix
-        _, pivots = linalg.rref(a.T, p)
-        rows = list(pivots)
-        binv = linalg.matrix_inverse(a[rows, :], p)
-        if binv is None:
-            raise RuntimeError("hom basis columns are dependent")
-        return rows, binv
+        arrays = self._arrays
+        if "solver" not in arrays:
+            p = self.source.p
+            a = self.flat_matrix
+            _, pivots = linalg.rref(a.T, p)
+            rows = list(pivots)
+            binv = linalg.matrix_inverse(a[rows, :], p)
+            if binv is None:
+                raise RuntimeError("hom basis columns are dependent")
+            arrays["solver"] = rows, binv
+        return arrays["solver"]
 
     def coords(self, f: RepMap):
         """Coefficients of f in the basis, or None if f is outside (it never is
@@ -320,7 +344,14 @@ class HomSpace:
         return map_from_flat(self.source, self.target, matmul(self.flat_matrix, c, p))
 
 
-@memoized
+def _hom_on(hs: HomSpace, m: Rep, n: Rep) -> HomSpace:
+    """hs, a Hom space between twins of m and n, as Hom(m, n): the same
+    blocks and arrays."""
+    basis = [RepMap(m, n, f.blocks, check=False) for f in hs.basis]
+    return HomSpace(m, n, basis, hs._arrays)
+
+
+@memoized(rebind=_hom_on)
 def hom_basis(m: Rep, n: Rep) -> HomSpace:
     """Solve the commuting conditions; basis ordered by kernel_basis order.
 
@@ -332,7 +363,8 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     reduces the system mod p once.
 
     Memoized (memo.memoized) on the source module, keyed by the target,
-    since verification sweeps ask for the same pair many times.
+    since verification sweeps ask for the same pair many times; twin
+    modules share one solve.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
@@ -636,7 +668,17 @@ class EndAlgebra:
         return self.quotient.to_coords(self._hs.coords_of(powered))
 
 
-@memoized
+def _end_on(end: EndAlgebra, m: Rep) -> EndAlgebra:
+    """end, the End algebra of a twin of m, as End(m): its Hom space
+    rebound, the gram, radical and quotient shared."""
+    out = copy.copy(end)
+    out.module = m
+    out._hs = hom_basis(m, m)
+    out.basis = out._hs.basis
+    return out
+
+
+@memoized(rebind=_end_on)
 def end_algebra(m: Rep) -> EndAlgebra:
     """End(M), memoized (memo.memoized) on the module: the Hom(M, M) basis
     is the bulk of every indecomposability check."""
@@ -676,7 +718,7 @@ def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
 EXHAUSTIVE_END_LIMIT = 1 << 16
 
 
-@memoized
+@memoized(rebind=lambda answer, m: answer)
 def is_indecomposable(m: Rep) -> bool:
     """Certify indecomposability via End(M)/rad; memoized (memo.memoized)
     on the module.
@@ -852,12 +894,12 @@ def decompose(m: Rep, seed: int = DEFAULT_SEED) -> list:
     the split maps into/out of m (one pair per copy).
 
     The answer is a function of the content of m and the seed, so it is
-    kept in the algebra's memo under (seed, dims, map bytes), as arrays
+    kept in the algebra's memo under (seed, content key), as arrays
     only: a module equal to m entry for entry gets the same pieces and
     witness blocks, rebuilt as new objects around it, and the table keeps
     no module alive.
     """
-    key = (decompose, seed, m.dims, b"".join(b.tobytes() for b in m.maps.values()))
+    key = (decompose, seed, m.content_key)
     memo = m.algebra._memo
     if key not in memo:
         groups = _decompose(m, seed)

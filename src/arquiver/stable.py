@@ -37,32 +37,11 @@ from .rep import (
     RepMap,
     decompose,
     direct_sum,
-    factor_through_left,
-    factor_through_right,
     hom_basis,
     hom_quotient,
     iso,
     zero_map,
 )
-
-
-def factors_through_injective(f: RepMap):
-    """(flag, witness): witness = (extension, envelope mono) with
-    extension . mono = f when the flag is true."""
-    if f.is_zero:
-        return True, None
-    _, mono = injective_envelope(f.source)
-    ext = factor_through_right(mono, f)
-    return (False, None) if ext is None else (True, (ext, mono))
-
-
-def factors_through_projective(f: RepMap):
-    """(flag, witness): witness = (lift, cover epi) with epi . lift = f."""
-    if f.is_zero:
-        return True, None
-    _, epi = projective_cover(f.target)
-    lift = factor_through_left(epi, f)
-    return (False, None) if lift is None else (True, (lift, epi))
 
 
 def stable_hom(a: Rep, b: Rep, variant: str = "inj") -> HomQuotient:

@@ -1,9 +1,18 @@
 import pytest
 
 from arquiver import corpus
-from arquiver.homological import dtr_data, inj, proj
+from arquiver.homological import (
+    dtr_data,
+    inj,
+    injective_envelope,
+    proj,
+    projective_cover,
+)
 from arquiver.rep import (
+    RepMap,
     direct_sum,
+    factor_through_left,
+    factor_through_right,
     hom_basis,
     identity_map,
     simple,
@@ -14,13 +23,51 @@ from arquiver.stable import (
     check_exactness_DP,
     error_term_data,
     error_term_image,
-    factors_through_injective,
-    factors_through_projective,
     is_injective_module,
     is_precover_with_error_term,
     is_stable_precover,
     stable_hom,
 )
+
+
+# -- oracles of stable_hom: one factorization per map ------------------------
+
+
+def factors_through_injective(f: RepMap):
+    """(flag, witness): witness = (extension, envelope mono) with
+    extension . mono = f when the flag is true."""
+    if f.is_zero:
+        return True, None
+    _, mono = injective_envelope(f.source)
+    ext = factor_through_right(mono, f)
+    return (False, None) if ext is None else (True, (ext, mono))
+
+
+def factors_through_projective(f: RepMap):
+    """(flag, witness): witness = (lift, cover epi) with epi . lift = f."""
+    if f.is_zero:
+        return True, None
+    _, epi = projective_cover(f.target)
+    lift = factor_through_left(epi, f)
+    return (False, None) if lift is None else (True, (lift, epi))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker", "loop"])
+def test_stable_hom_ideal_matches_the_oracles(name):
+    # a map is 0 in stable Hom exactly when its oracle finds a factorization
+    alg = getattr(corpus, name)()
+    n = alg.quiver.n
+    mods = [simple(alg, v) for v in range(1, n + 1)]
+    mods += [proj(alg, v) for v in range(1, n + 1)]
+    mods += [inj(alg, v) for v in range(1, n + 1)]
+    for variant, oracle in (("inj", factors_through_injective), ("proj", factors_through_projective)):
+        for a in mods:
+            for b in mods:
+                basis = hom_basis(a, b).basis
+                quotient = stable_hom(a, b, variant)
+                maps = basis + [f + g for f, g in zip(basis, basis[1:])]
+                for f in maps:
+                    assert oracle(f)[0] == (not quotient.coords_of([f]).any())
 
 
 def test_factor_injective_out_of_injective(alg_a2):
