@@ -1,6 +1,7 @@
 """Print one SHA-256 over every answer of a benchmark workload's round.
 
 usage: python scripts/answer_digest.py --workload {accept,ar-family,decompose} --seed N
+                                      [--check FILE]
 
 Builds the round's operations with `perfbench/workloads.py` (imported, not
 changed), runs each once in order and hashes every array (dtype, shape and
@@ -8,6 +9,10 @@ bytes), number and string in the answers, an operation that raised by its
 exception type and message.  `CriterionResult.seconds` is left out, so two
 checkouts that answer alike print the same digest: run it on both to show
 that a change keeps every answer bit for bit.
+
+With --check FILE it also compares the digest with the one pinned in FILE
+(JSON: workload -> seed -> digest, as in tests/answer_digests.json) and
+exits 1 when they differ.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -88,8 +94,19 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", required=True, type=int)
+    ap.add_argument("--check", metavar="FILE", help="pinned digests to compare with")
     args = ap.parse_args()
-    print(f"{digest(args.workload, args.seed)}  {args.workload} seed {args.seed}")
+    want = None
+    if args.check is not None:
+        pinned = json.loads(Path(args.check).read_text())
+        want = pinned.get(args.workload, {}).get(str(args.seed))
+        if want is None:
+            ap.error(f"{args.check} pins no digest for {args.workload} seed {args.seed}")
+    got = digest(args.workload, args.seed)
+    print(f"{got}  {args.workload} seed {args.seed}")
+    if want is not None and got != want:
+        print(f"{want}  pinned in {args.check}: the answers differ")
+        return 1
     return 0
 
 

@@ -215,7 +215,7 @@ def format_morphism(f: RepMap, name: str, source_name: str, target_name: str) ->
 
 def _parse_morphism_lines(lines: list, modules: dict) -> tuple:
     """(name, RepMap, unconsumed lines); modules maps name -> Rep."""
-    parts = lines[0].split()
+    parts = lines[0].split() if lines else []
     if len(parts) != 4 or parts[0] != "morphism":
         raise ParseError("morphism block must start with 'morphism <name> <src> <tgt>'")
     name, src_name, tgt_name = parts[1], parts[2], parts[3]
@@ -278,6 +278,7 @@ def write_subcat_family(kind: str, cap: int, path: str) -> None:
 
 
 BUNDLE_HEADER = "bundle arquiver-v1"
+SECTION_KINDS = ("algebra", "module", "morphism")
 
 
 @dataclass
@@ -356,6 +357,8 @@ def parse_bundle(text: str, prime: int | None = None, algebra: Algebra | None = 
                 j += 1
             if j == len(lines):
                 raise ParseError(f"unterminated {kind!r} section")
+            if kind not in SECTION_KINDS:
+                raise ParseError(f"unknown section kind {kind!r} in bundle")
             sections.append((kind, body))
             i = j + 1
         elif line.startswith("check"):

@@ -236,7 +236,11 @@ def rank(m, p: int) -> int:
 def kernel_basis(m, p: int) -> np.ndarray:
     """Columns form a deterministic basis of the null space of m.
 
-    Column count = cols(m) - rank(m).  m @ result == 0 exactly.
+    Column count = cols(m) - rank(m).  m @ result == 0 exactly.  Column j
+    is 1 at the j-th free (non-pivot) column of m and 0 at the other free
+    columns; its other nonzeros lie at pivot columns left of that, so the
+    1 is its last nonzero entry.  A null space has exactly one basis of
+    this form (`rep.HomSpace` reads coordinates off it).
     """
     r, pivots = rref(m, p)
     cols = r.shape[1]

@@ -23,11 +23,19 @@ every derived module is named from the algebra (P1, D(P1)) or not at all,
 so a twin may answer for a module of another name.  `rep.decompose` keeps
 its answers in the algebra's `_memo` too, keyed by module content and
 holding arrays only.
+
+An answer found another way can be kept in advance (`remember`): the End
+of a direct summand, read off the End of the module it splits from, is
+stored as the summand's Hom(N, N), so asking for it later solves nothing.
 """
 
 from __future__ import annotations
 
 import functools
+
+
+def _key(fn, args) -> tuple:
+    return (fn, *args)
 
 
 def memoized(fn=None, *, rebind=None):
@@ -43,7 +51,7 @@ def memoized(fn=None, *, rebind=None):
 
     @functools.wraps(fn)
     def wrapper(obj, *args):
-        key = (fn, *args)
+        key = _key(fn, args)
         memo = obj._memo
         if key not in memo:
             objs = (obj, *args)
@@ -55,3 +63,14 @@ def memoized(fn=None, *, rebind=None):
         return memo[key]
 
     return wrapper
+
+
+def remember(fn, make, obj, *args) -> None:
+    """Keep make() as the answer of the memoized fn(obj, *args), unless one
+    is kept already.  fn is the function as written, before `memoized`
+    wrapped it: the caller captures it (`__wrapped__`) when its module is
+    imported, so a wrapper rebound over the module global later (a tracer)
+    does not change the key."""
+    key = _key(fn, args)
+    if key not in obj._memo:
+        obj._memo[key] = make()

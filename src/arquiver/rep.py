@@ -20,7 +20,7 @@ from . import linalg
 from .algebra import Algebra
 from .fpoly import factor_mod as _factor_mod  # a module global, so it can be wrapped
 from .linalg import matmul
-from .memo import memoized
+from .memo import memoized, remember
 
 DEFAULT_SEED = 1
 
@@ -263,12 +263,19 @@ def map_from_flat(src: Rep, tgt: Rep, flat: np.ndarray, check: bool = False) -> 
 
 @dataclass(eq=False)
 class HomSpace:
-    """A deterministic k-basis of Hom(source, target)."""
+    """A deterministic k-basis of Hom(source, target).
+
+    The basis is in the normal form of `linalg.kernel_basis`: map j is 1 at
+    the j-th free position of the flattened maps, which is its last nonzero
+    entry, and 0 at every other free position.  Its flat matrix is the
+    identity on those rows, so the coordinates of a map are its entries
+    there.  Each subspace has exactly one basis of this form.
+    """
 
     source: Rep
     target: Rep
     basis: list  # list of RepMap
-    # flat_matrix and _solver once computed: functions of the basis blocks
+    # flat_matrix and _rows once computed: functions of the basis blocks
     # alone, so the copies of this space on twin modules (_hom_on) share
     # the dict
     _arrays: dict = field(default_factory=dict, repr=False)
@@ -293,24 +300,16 @@ class HomSpace:
         return arrays["flat"]
 
     @property
-    def _solver(self):
-        """(row selection, inverse of the selected square block).
-
-        The basis columns are independent, so some row subset of the flat
-        matrix is invertible; solving against it turns every coords call
-        into a single matrix product.
-        """
+    def _rows(self) -> np.ndarray:
+        """The free position of each basis map: its last nonzero entry."""
         arrays = self._arrays
-        if "solver" not in arrays:
-            p = self.source.p
+        if "rows" not in arrays:
             a = self.flat_matrix
-            _, pivots = linalg.rref(a.T, p)
-            rows = list(pivots)
-            binv = linalg.matrix_inverse(a[rows, :], p)
-            if binv is None:
-                raise RuntimeError("hom basis columns are dependent")
-            arrays["solver"] = rows, binv
-        return arrays["solver"]
+            rows = a.shape[0] - 1 - np.argmax(a[::-1] != 0, axis=0)
+            if not np.array_equal(a[rows], linalg.eye(self.dim)):
+                raise RuntimeError("hom basis is not in kernel_basis normal form")
+            arrays["rows"] = rows
+        return arrays["rows"]
 
     def coords(self, f: RepMap):
         """Coefficients of f in the basis, or None if f is outside (it never is
@@ -321,9 +320,9 @@ class HomSpace:
             return None
 
     def coords_of(self, maps) -> np.ndarray:
-        """Coefficients of the maps as the columns of one matrix: one product
-        through the solver, one product to verify; raises ValueError if a
-        map lies outside the space."""
+        """Coefficients of the maps as the columns of one matrix: their
+        entries at the free positions, then one product to verify; raises
+        ValueError if a map lies outside the space."""
         p = self.source.p
         if not maps:
             return linalg.zeros(self.dim, 0)
@@ -332,8 +331,7 @@ class HomSpace:
             if v.any():
                 raise ValueError("map lies outside this Hom space")
             return linalg.zeros(0, v.shape[1])
-        rows, binv = self._solver
-        c = matmul(binv, v[rows], p)
+        c = v[self._rows]
         if not np.array_equal(matmul(self.flat_matrix, c, p), v):
             raise ValueError("map lies outside this Hom space")
         return c
@@ -389,6 +387,11 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     kb = linalg.kernel_basis(system, p)
     basis = [map_from_flat(m, n, kb[:, j], check=False) for j in range(kb.shape[1])]
     return HomSpace(m, n, basis)
+
+
+# hom_basis as written, captured at import: the key of its memo entries,
+# whatever wrapper is later bound to the module global
+_solve_hom = hom_basis.__wrapped__
 
 
 @dataclass(eq=False)
@@ -586,19 +589,18 @@ class EndAlgebra:
     def _trace_gram(self) -> np.ndarray:
         """gram[i, j] = tr(L_{b_i b_j}) for the basis maps b_i.
 
-        coords(f) = psi . flat(f), with psi (e x n) zero outside the solver
-        rows.  With B_k, Psi_k the vertex-v blocks of b_k and of row k of
-        psi, tr(L_x) = sum_v <X_v, Q_v> for Q_v = sum_k Psi_k B_k^T, so
-        gram[i, j] = sum_v <B_i, Q_v B_j^T>.
+        coords(f) = psi . flat(f), with psi (e x n) selecting the free
+        positions of the basis (HomSpace).  With B_k, Psi_k the vertex-v
+        blocks of b_k and of row k of psi, tr(L_x) = sum_v <X_v, Q_v> for
+        Q_v = sum_k Psi_k B_k^T, so gram[i, j] = sum_v <B_i, Q_v B_j^T>.
         """
         p = self.p
         e = self.dim
         gram = linalg.zeros(e, e)
         if not e:
             return gram
-        rows, binv = self._hs._solver
         psi = linalg.zeros(e, self._hs.flat_matrix.shape[0])
-        psi[:, rows] = binv
+        psi[np.arange(e), self._hs._rows] = 1
         offsets = np.cumsum([0] + [d * d for d in self.module.dims])
         for v, d in enumerate(self.module.dims):
             blocks = np.stack([b.blocks[v] for b in self.basis])
@@ -862,8 +864,32 @@ def _split_once(m: Rep, rng: random.Random):
     return None
 
 
+def _corner_end(end: EndAlgebra, n: Rep, incl: RepMap, proj: RepMap) -> HomSpace:
+    """Hom(n, n) for a summand n of end.module with split maps incl and
+    proj, read off End(M) without solving n's commuting system.
+
+    End(n) = proj . End(M) . incl: vertex by vertex, two stacked products
+    over the basis give a spanning set of flattened maps.  Its rref with the
+    columns reversed, read back reversed, is the one basis of End(n) in
+    kernel_basis normal form (HomSpace), so it is what hom_basis(n, n)
+    would compute.
+    """
+    p, e = end.p, end.dim
+    parts = []
+    for v, d in enumerate(n.dims):
+        blocks = np.stack([b.blocks[v] for b in end.basis])
+        corner = matmul(matmul(proj.blocks[v], blocks, p), incl.blocks[v], p)
+        parts.append(corner.reshape(e, d * d))
+    r, pivots = linalg.rref(np.hstack(parts)[:, ::-1], p)
+    flat = r[: len(pivots)][::-1, ::-1]
+    return HomSpace(n, n, [map_from_flat(n, n, row) for row in flat])
+
+
 def _split_indecomposables(m: Rep, rng: random.Random):
-    """Full Fitting splitting: list of (indec rep, incl into m, proj from m)."""
+    """Full Fitting splitting: list of (indec rep, incl into m, proj from m).
+
+    Each piece's End, read off End(m) (`_corner_end`), is kept as its
+    hom_basis before the piece is tested."""
     if m.is_zero:
         return []
     if is_indecomposable(m):
@@ -872,8 +898,11 @@ def _split_indecomposables(m: Rep, rng: random.Random):
     pieces = _split_once(m, rng)
     if pieces is None:
         raise DecompositionFailed("no splitting endomorphism found")
+    end = end_algebra(m)
     out = []
     for (sub, incl), proj in zip(pieces, split_projections(m, pieces)):
+        twin = sub.twin
+        remember(_solve_hom, lambda: _corner_end(end, twin, incl, proj), twin, twin)
         split = _split_indecomposables(sub, rng)
         if len(split) > 1:
             # sub gives way to its summands; its memoized End and Hom

@@ -498,6 +498,38 @@ def test_non_commuting_bundle_morphism_is_a_usage_error(a2_files, tmp_path, caps
     assert out == "usage error: morphism 'nu': map does not commute with arrow 'a'"
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        # nothing between `begin morphism` and `end`
+        (["begin morphism", "end"],
+         "morphism block must start with 'morphism <name> <src> <tgt>'"),
+        # a section of a kind no bundle holds
+        (["begin widget", "widget w", "end"], "unknown section kind 'widget' in bundle"),
+    ],
+    ids=["empty-morphism", "unknown-kind"],
+)
+def test_a_malformed_bundle_section_is_a_usage_error(kron_files, tmp_path, capsys,
+                                                     section, message):
+    text = "\n".join(
+        [
+            fileio.BUNDLE_HEADER,
+            "begin algebra",
+            fileio.format_algebra(corpus.kronecker()).rstrip("\n"),
+            "end",
+            *section,
+            "check minimal",
+        ]
+    )
+    (tmp_path / "b.bundle").write_text(text + "\n")
+    code = run(
+        ["minimal", "--algebra", str(kron_files / "kron.alg"),
+         "--bundle", str(tmp_path / "b.bundle")]
+    )
+    assert code == 2
+    assert capsys.readouterr().out.strip() == f"usage error: {message}"
+
+
 def test_a_bundle_without_the_named_entry_is_a_usage_error(a2_files, tmp_path, capsys):
     # a `minimal` bundle holds the morphism nu, not the f and g of verify-ar
     alg = corpus.a2()
