@@ -1,7 +1,7 @@
 """Print one SHA-256 over every answer of a benchmark workload's round.
 
 usage: python scripts/answer_digest.py --workload {accept,ar-family,decompose} --seed N
-                                      [--check FILE]
+                                      [--check FILE] [--rounds N]
 
 Builds the round's operations with `perfbench/workloads.py` (imported, not
 changed), runs each once in order and hashes every array (dtype, shape and
@@ -13,6 +13,12 @@ that a change keeps every answer bit for bit.
 With --check FILE it also compares the digest with the one pinned in FILE
 (JSON: workload -> seed -> digest, as in tests/answer_digests.json) and
 exits 1 when they differ.
+
+With --rounds N it builds and runs the round N times in one process and
+prints each round's digest; it exits 1 unless all N are equal.  A later
+round may be answered from the memos and content tables the first one
+filled (`accept` reuses its seed's corpus), so this compares warm answers
+with cold ones.
 """
 
 from __future__ import annotations
@@ -95,19 +101,29 @@ def main() -> int:
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--check", metavar="FILE", help="pinned digests to compare with")
+    ap.add_argument("--rounds", type=int, default=1, help="rounds run in this process")
     args = ap.parse_args()
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     want = None
     if args.check is not None:
         pinned = json.loads(Path(args.check).read_text())
         want = pinned.get(args.workload, {}).get(str(args.seed))
         if want is None:
             ap.error(f"{args.check} pins no digest for {args.workload} seed {args.seed}")
-    got = digest(args.workload, args.seed)
-    print(f"{got}  {args.workload} seed {args.seed}")
-    if want is not None and got != want:
+    digests = []
+    for r in range(1, args.rounds + 1):
+        digests.append(digest(args.workload, args.seed))
+        label = f" round {r}" if args.rounds > 1 else ""
+        print(f"{digests[-1]}  {args.workload} seed {args.seed}{label}")
+    code = 0
+    if len(set(digests)) > 1:
+        print("the rounds answer differently")
+        code = 1
+    if want is not None and digests[0] != want:
         print(f"{want}  pinned in {args.check}: the answers differ")
-        return 1
-    return 0
+        code = 1
+    return code
 
 
 if __name__ == "__main__":

@@ -140,11 +140,12 @@ def format_module(m: Rep, name: str | None = None) -> str:
 def _take_matrix(lines: list, i: int, rows: int, cols: int):
     if rows < 0 or cols < 0:
         raise ParseError(f"negative matrix shape {rows} x {cols}")
-    mat = linalg.zeros(rows, cols)
     if cols == 0:
-        return mat, i
+        return linalg.zeros(rows, 0), i
+    # every row is a line of the file, so the matrix is no larger than it
     if i + rows > len(lines):
         raise ParseError(f"expected {rows} rows, got {len(lines) - i}")
+    mat = linalg.zeros(rows, cols)
     for r in range(rows):
         entries = lines[i + r].split()
         if len(entries) != cols:
@@ -182,6 +183,8 @@ def _parse_module_lines(lines: list, alg: Algebra) -> tuple:
         _, arrow, rows_s, cols_s = parts
         if arrow not in alg.quiver.by_name:
             raise ParseError(f"unknown arrow {arrow!r}")
+        if arrow in maps:
+            raise ParseError(f"module {name!r} has two maps for arrow {arrow!r}")
         rows, cols = _int(rows_s, "map rows"), _int(cols_s, "map columns")
         mat, i = _take_matrix(lines, i + 1, rows, cols)
         maps[arrow] = mat
@@ -189,6 +192,9 @@ def _parse_module_lines(lines: list, alg: Algebra) -> tuple:
         rep = Rep(alg, dims, maps, name=name)
     except ValueError as exc:
         raise ParseError(f"module {name!r}: {exc}") from exc
+    except MemoryError as exc:
+        # an arrow without a map line is zero, of the shape `dim` asks for
+        raise ParseError(f"module {name!r} cannot be built: {exc}") from exc
     return rep, lines[i:]
 
 
@@ -339,6 +345,12 @@ def _bundle_entry(entries: dict, kind: str, name: str):
     return entries[name]
 
 
+def _add_entry(entries: dict, kind: str, name: str, value) -> None:
+    if name in entries:
+        raise ParseError(f"bundle has two {kind}s named {name!r}")
+    entries[name] = value
+
+
 def parse_bundle(text: str, prime: int | None = None, algebra: Algebra | None = None) -> Bundle:
     lines = _logical_lines(text)
     if not lines or lines[0] != BUNDLE_HEADER:
@@ -388,12 +400,12 @@ def parse_bundle(text: str, prime: int | None = None, algebra: Algebra | None = 
             rep, rest = _parse_module_lines(body, alg)
             if rest:
                 raise ParseError("trailing content in module section")
-            bundle.modules[rep.name] = rep
+            _add_entry(bundle.modules, "module", rep.name, rep)
         elif kind == "morphism":
             name, f, rest = _parse_morphism_lines(body, bundle.modules)
             if rest:
                 raise ParseError("trailing content in morphism section")
-            bundle.morphisms[name] = f
+            _add_entry(bundle.morphisms, "morphism", name, f)
     return bundle
 
 

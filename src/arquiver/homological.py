@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .algebra import Algebra, Path, path_target
 from .linalg import matmul
-from .memo import memoized
+from .memo import memoized, table
 from .rep import (
     end_algebra,
     HomQuotient,
@@ -35,6 +35,8 @@ from .rep import (
     image_of,
     kernel_of,
     cokernel_of,
+    module_arrays,
+    module_from_arrays,
     zero_rep,
 )
 
@@ -502,7 +504,31 @@ def ext1(m: Rep, n: Rep) -> ExtSpace:
 
 
 def realize_extension(ext: ExtSpace, coords) -> SES:
-    """The pushout extension 0 -> N -> E -> M -> 0 for a class."""
+    """The pushout extension 0 -> N -> E -> M -> 0 for a class.
+
+    The presentation and the classes of Ext^1(M, N) are functions of the
+    contents of M and N, so the answer is kept in a table on the algebra
+    (`memo.table`) as arrays: E and the blocks of f and g.  Exactness is
+    checked on every call (`SES`)."""
+    m, n = ext.pres.module, ext.target
+    key = (_REALIZE, m.content_key, n.content_key,
+           (np.asarray(coords, dtype=np.int64) % n.p).tobytes())
+
+    def from_arrays(arrays):
+        e_arrays, f, g = arrays
+        e = module_from_arrays(n.algebra, e_arrays)
+        return SES(RepMap(n, e, f, check=False), RepMap(e, m, g, check=False))
+
+    return table(
+        n.algebra,
+        key,
+        lambda: _realize_extension(ext, coords),
+        lambda ses: (module_arrays(ses.middle), ses.f.blocks, ses.g.blocks),
+        from_arrays,
+    )
+
+
+def _realize_extension(ext: ExtSpace, coords) -> SES:
     pres = ext.pres
     n = ext.target
     w = ext.cocycle_for(coords)
@@ -518,6 +544,10 @@ def realize_extension(ext: ExtSpace, coords) -> SES:
     )
     g = RepMap(e, pres.module, g_blocks, check=True)
     return SES(f, g)
+
+
+# the table key: the function as written, captured at import (memo.table)
+_REALIZE = realize_extension
 
 
 # -- AR extension candidates ------------------------------------------------

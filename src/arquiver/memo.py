@@ -20,9 +20,15 @@ whose source is the caller's module, a cover onto it), sharing every array
 and every derived module with the twin's answer.  No memoized answer
 depends on `Rep.name`: names are labels for printing, not content, and
 every derived module is named from the algebra (P1, D(P1)) or not at all,
-so a twin may answer for a module of another name.  `rep.decompose` keeps
-its answers in the algebra's `_memo` too, keyed by module content and
-holding arrays only.
+so a twin may answer for a module of another name.
+
+Three answers are kept in tables on the algebra instead (`table`): the
+decomposition of a module (`rep.decompose`), an isomorphism between two
+modules (`rep.iso`) and the middle term of an extension class with its two
+maps (`homological.realize_extension`).  A table lives in the algebra's
+`_memo`, keyed by module content and holding arrays only, never a module:
+a hit rebuilds the answer around the caller's modules, so it neither keeps
+a module alive nor depends on when the cyclic collector frees a twin.
 
 An answer found another way can be kept in advance (`remember`): the End
 of a direct summand, read off the End of the module it splits from, is
@@ -74,3 +80,17 @@ def remember(fn, make, obj, *args) -> None:
     key = _key(fn, args)
     if key not in obj._memo:
         obj._memo[key] = make()
+
+
+def table(alg, key, compute, to_arrays, from_arrays):
+    """The answer kept in alg._memo under key, rebuilt by
+    from_arrays(arrays); on a miss compute() answers and to_arrays(answer)
+    is kept.  key starts with the function as written, captured when its
+    module is imported (as for `remember`), and names modules by
+    `Rep.content_key` only."""
+    memo = alg._memo
+    if key in memo:
+        return from_arrays(memo[key])
+    answer = compute()
+    memo[key] = to_arrays(answer)
+    return answer

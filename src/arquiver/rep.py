@@ -20,7 +20,7 @@ from . import linalg
 from .algebra import Algebra
 from .fpoly import factor_mod as _factor_mod  # a module global, so it can be wrapped
 from .linalg import matmul
-from .memo import memoized, remember
+from .memo import memoized, remember, table
 
 DEFAULT_SEED = 1
 
@@ -923,42 +923,40 @@ def decompose(m: Rep, seed: int = DEFAULT_SEED) -> list:
     the split maps into/out of m (one pair per copy).
 
     The answer is a function of the content of m and the seed, so it is
-    kept in the algebra's memo under (seed, content key), as arrays
-    only: a module equal to m entry for entry gets the same pieces and
-    witness blocks, rebuilt as new objects around it, and the table keeps
-    no module alive.
+    kept in a table on the algebra (`memo.table`), as arrays only: a module
+    equal to m entry for entry gets the same pieces and witness blocks,
+    rebuilt as new objects around it.
     """
-    key = (decompose, seed, m.content_key)
-    memo = m.algebra._memo
-    if key not in memo:
-        groups = _decompose(m, seed)
-        memo[key] = tuple(
+    return table(
+        m.algebra,
+        (_DECOMPOSE, seed, m.content_key),
+        lambda: _decompose(m, seed),
+        lambda groups: tuple(
             tuple(_copy_arrays(m, incl, pr) for incl, pr in zip(g.inclusions, g.projections))
             for g in groups
-        )
-        return groups
-    out = []
-    for copies in memo[key]:
-        pieces = [_copy_from_arrays(m, arrays) for arrays in copies]
-        out.append(
-            Summand(
-                pieces[0][0],
-                len(pieces),
-                [incl for _, incl, _ in pieces],
-                [pr for _, _, pr in pieces],
-            )
-        )
-    return out
+        ),
+        lambda stored: [_summand_from_arrays(m, copies) for copies in stored],
+    )
+
+
+def module_arrays(m: Rep) -> tuple:
+    """(dims, maps in arrow order): a module as a content table keeps it."""
+    return m.dims, tuple(m.maps.values())
+
+
+def module_from_arrays(alg: Algebra, arrays) -> Rep:
+    dims, maps = arrays
+    return Rep(alg, dims, {a.name: b for a, b in zip(alg.quiver.arrows, maps)})
 
 
 def _copy_arrays(m: Rep, incl: RepMap, proj: RepMap):
-    """One copy of a summand of m as arrays: (dims, maps in arrow order,
-    inclusion blocks, projection blocks), or None when the copy is m itself
-    (an indecomposable m, with identity witnesses)."""
+    """One copy of a summand of m as arrays: (piece arrays, inclusion
+    blocks, projection blocks), or None when the copy is m itself (an
+    indecomposable m, with identity witnesses)."""
     piece = incl.source
     if piece is m:
         return None
-    return piece.dims, tuple(piece.maps.values()), incl.blocks, proj.blocks
+    return module_arrays(piece), incl.blocks, proj.blocks
 
 
 def _copy_from_arrays(m: Rep, arrays) -> tuple:
@@ -966,9 +964,16 @@ def _copy_from_arrays(m: Rep, arrays) -> tuple:
     if arrays is None:
         ident = identity_map(m)
         return m, ident, ident
-    dims, maps, incl, proj = arrays
-    piece = Rep(m.algebra, dims, dict(zip(m.maps, maps)))
+    piece_arrays, incl, proj = arrays
+    piece = module_from_arrays(m.algebra, piece_arrays)
     return piece, RepMap(piece, m, incl, check=False), RepMap(m, piece, proj, check=False)
+
+
+def _summand_from_arrays(m: Rep, copies) -> Summand:
+    pieces = [_copy_from_arrays(m, arrays) for arrays in copies]
+    return Summand(
+        pieces[0][0], len(pieces), [incl for _, incl, _ in pieces], [pr for _, _, pr in pieces]
+    )
 
 
 def _decompose(m: Rep, seed: int) -> list:
@@ -993,6 +998,9 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
     Basis sweep, then seeded random combinations, then a sound
     decompose-and-match fallback (basis sweep alone is complete for
     indecomposable pairs since non-isos form a proper subspace).
+
+    The witness is a function of the two contents and the seed, so it is
+    kept in a table on the algebra (`memo.table`) as its blocks, or None.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
@@ -1000,6 +1008,16 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
         return None
     if m.is_zero:
         return zero_map(m, n)
+    return table(
+        m.algebra,
+        (_ISO, seed, m.content_key, n.content_key),
+        lambda: _iso(m, n, seed),
+        lambda f: None if f is None else f.blocks,
+        lambda blocks: None if blocks is None else RepMap(m, n, blocks, check=False),
+    )
+
+
+def _iso(m: Rep, n: Rep, seed: int):
     hs = hom_basis(m, n)
     if hs.dim == 0:
         return None
@@ -1034,6 +1052,11 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
             p_blocks[i] = (p_blocks[i] + term.block(i + 1)) % p
     f = RepMap(m, n, tuple(p_blocks), check=True)
     return f if f.is_invertible() else None
+
+
+# the table keys: the functions as written, captured at import so that a
+# tracer rebinding the module globals does not change them (memo.table)
+_DECOMPOSE, _ISO = decompose, iso
 
 
 def _indec_iso(m: Rep, n: Rep):

@@ -25,3 +25,16 @@ def test_seed_1_answers_match_the_pinned_digest(workload):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_a_warm_round_answers_like_a_cold_one():
+    # the second round of `accept` finds its seed's corpus and the content
+    # tables on it filled by the first
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "answer_digest.py"),
+         "--workload", "accept", "--seed", "1", "--rounds", "2", "--check", str(PINS)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    digests = [line.split()[0] for line in done.stdout.splitlines()]
+    assert len(digests) == 2 and digests[0] == digests[1]

@@ -440,6 +440,13 @@ def test_product_beyond_int64_is_a_guard(tmp_path, capsys):
         ("module M\ndim one\n", "dimension must be an integer, got 'one'"),
         # a map block with a negative row count
         ("module M\ndim 1\nmap x -1 1\n", "negative matrix shape -1 x 1"),
+        # two maps for one arrow: neither may silently win
+        ("module M\ndim 1\nmap x 1 1\n0\nmap x 1 1\n0\n",
+         "module 'M' has two maps for arrow 'x'"),
+        # a map header whose shape no file of this length can fill
+        ("module M\ndim 1\nmap x 10000000 10000000\n", "expected 10000000 rows, got 0"),
+        # an arrow without a map line is a zero map of a shape numpy refuses
+        ("module M\ndim 10000000\n", "module 'M' cannot be built: "),
     ],
 )
 def test_malformed_module_is_a_usage_error(tmp_path, capsys, module_text, message):
@@ -506,8 +513,13 @@ def test_non_commuting_bundle_morphism_is_a_usage_error(a2_files, tmp_path, caps
          "morphism block must start with 'morphism <name> <src> <tgt>'"),
         # a section of a kind no bundle holds
         (["begin widget", "widget w", "end"], "unknown section kind 'widget' in bundle"),
+        # two entries of one name: neither may silently win
+        (["begin module", "module S1\ndim 1 0", "end"] * 2, "bundle has two modules named 'S1'"),
+        (["begin module", "module S1\ndim 1 0", "end"]
+         + ["begin morphism", "morphism nu S1 S1\nblock 1 1 1\n1\nblock 2 0 0", "end"] * 2,
+         "bundle has two morphisms named 'nu'"),
     ],
-    ids=["empty-morphism", "unknown-kind"],
+    ids=["empty-morphism", "unknown-kind", "duplicate-module", "duplicate-morphism"],
 )
 def test_a_malformed_bundle_section_is_a_usage_error(kron_files, tmp_path, capsys,
                                                      section, message):
