@@ -221,10 +221,10 @@ def canonical_precover(
         for f in maps:
             summands.append(g)
             columns.append(f)
-    n, injs, projs = direct_sum(summands)
-    nu = zero_map(n, t)
-    for f, pr in zip(columns, projs):
-        nu = nu + f.compose(pr)
+    n, injs, _ = direct_sum(summands)
+    # on each copy of a generator, nu is the map that copy was taken for
+    blocks = [np.hstack([f.block(v) for f in columns]) for v in range(1, len(t.dims) + 1)]
+    nu = RepMap(n, t, tuple(blocks), check=False)
     grouped = []
     pos = 0
     for g, maps in pieces:
@@ -258,7 +258,7 @@ def is_preenvelope(mu: RepMap, sub: Subcat, variant: str = "plain") -> CoverRepo
         for g in sub.members():
             space = hom_basis(s, g) if variant == "plain" else stable_hom(s, g, "proj")
             through = hom_basis(mu.target, g)
-            yield g, space, space.coords_of([phi.compose(mu) for phi in through.basis])
+            yield g, space, space.coords_of(through.before(mu))
 
     return cover_report(f"preenvelope-{variant}", cases())
 
@@ -268,8 +268,7 @@ def is_preenvelope(mu: RepMap, sub: Subcat, variant: str = "plain") -> CoverRepo
 
 def _annihilator(nu: RepMap, end: EndAlgebra) -> np.ndarray:
     """Coordinates (columns) of the right ideal {g in End(source) : nu g = 0}."""
-    mat = np.stack([nu.compose(b).flatten() for b in end.basis], axis=1)
-    return linalg.kernel_basis(mat, nu.p)
+    return linalg.kernel_basis(end._hs.after(nu), nu.p)
 
 
 def _non_nilpotent_in_ideal(end, v_basis):
@@ -337,11 +336,13 @@ def right_minimal_reduce(nu: RepMap) -> RepMap:
 
 
 def right_minimality_certificate(nu: RepMap) -> bool:
-    """Whether the annihilator right ideal of nu lies in rad End(source)."""
+    """Whether the annihilator right ideal of nu lies in rad End(source);
+    raises PrimeTooSmall where the trace form does not give the radical."""
     src = nu.source
     if src.is_zero:
         return True
     end = end_algebra(src)
+    end.require_radical()
     return end.quotient.contains(_annihilator(nu, end))
 
 

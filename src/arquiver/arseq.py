@@ -120,11 +120,10 @@ def almost_split(h: RepMap, testset: list, side: str) -> AlmostSplitReport:
             continue
         report.vacuous = False
         if right:
-            cols = [h.compose(x).flatten() for x in hom_basis(t, h.source).basis]
+            through = hom_basis(t, h.source).after(h)
         else:
-            cols = [x.compose(h).flatten() for x in hom_basis(h.target, t).basis]
+            through = hom_basis(h.target, t).before(h)
         flat = np.stack([x.flatten() for x in tests], axis=1)
-        through = np.stack(cols, axis=1) if cols else linalg.zeros(flat.shape[0], 0)
         unfactored = linalg.Quotient(through, flat.shape[0], h.p).reduce(flat).any(axis=0)
         report.failures += [(t, x) for x, bad in zip(tests, unfactored) if bad]
     return report

@@ -73,6 +73,13 @@ class _Output:
                 fh.write("\n".join(self.lines) + "\n")
 
 
+def count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a count cannot be negative, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arquiver",
@@ -139,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("theorem55", algebra=True, subcat=True, seed=True,
         helptext="dual harness, run over the dual subcategory")
     p = add("equiv-4x", seed=True, helptext="error-term vs stable precover equivalence run")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=count, default=100)
     p.add_argument("--emit-dir", default=None,
                    help="directory for counterexample bundles")
     add("exactness-dp", algebra=True, cap=True,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import Algebra, Quiver, Relation, check_modulus
-from .rep import Rep, RepMap
+from .rep import PrimeTooSmall, Rep, RepMap
 
 
 class ParseError(ValueError):
@@ -265,14 +265,21 @@ def read_subcat(path: str, alg: Algebra):
     if kind == "finite":
         base = os.path.dirname(os.path.abspath(path))
         gens = [read_module(os.path.join(base, rel), alg) for rel in lines[1:]]
-        return Subcat(alg, "finite", gens)
-    if kind in ("postprojective", "preinjective"):
+        cap = 0
+    elif kind in ("postprojective", "preinjective"):
         if len(parts) != 4 or parts[2] != "cap":
             raise ParseError(f"family subcat needs 'cap <d>': {lines[0]!r}")
         if len(lines) > 1:
             raise ParseError("family subcat file has no further lines")
-        return Subcat(alg, kind, [], cap=_int(parts[3], "cap"))
-    raise ParseError(f"unknown subcat kind {kind!r}")
+        gens, cap = [], _int(parts[3], "cap")
+    else:
+        raise ParseError(f"unknown subcat kind {kind!r}")
+    try:
+        return Subcat(alg, kind, gens, cap)
+    except PrimeTooSmall:
+        raise  # the generators could not be checked at this prime: a guard
+    except ValueError as exc:
+        raise ParseError(f"subcat cannot be built: {exc}") from exc
 
 
 def write_subcat_family(kind: str, cap: int, path: str) -> None:

@@ -498,8 +498,7 @@ def ext1(m: Rep, n: Rep) -> ExtSpace:
     Hom(P0, N) is skipped when there are no cocycles to restrict to."""
     pres = min_presentation(m)
     z = hom_basis(pres.omega, n)
-    p0n = hom_basis(pres.p0.rep, n).basis if z.dim else []
-    restrictions = [psi.compose(pres.omega_incl) for psi in p0n]
+    restrictions = hom_basis(pres.p0.rep, n).before(pres.omega_incl) if z.dim else []
     return ExtSpace(m, n, pres, hom_quotient(z, restrictions))
 
 

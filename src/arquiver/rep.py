@@ -251,65 +251,91 @@ def zero_map(src: Rep, tgt: Rep) -> RepMap:
     )
 
 
-def map_from_flat(src: Rep, tgt: Rep, flat: np.ndarray, check: bool = False) -> RepMap:
+def map_from_flat(src: Rep, tgt: Rep, flat: np.ndarray) -> RepMap:
     blocks = []
     pos = 0
     for i in range(len(src.dims)):
         r, c = tgt.dims[i], src.dims[i]
         blocks.append(np.asarray(flat[pos : pos + r * c], dtype=np.int64).reshape(r, c))
         pos += r * c
-    return RepMap(src, tgt, tuple(blocks), check=check)
+    return RepMap(src, tgt, tuple(blocks), check=False)
 
 
 @dataclass(eq=False)
 class HomSpace:
-    """A deterministic k-basis of Hom(source, target).
+    """Hom(source, target) as its normal-form matrix.
 
-    The basis is in the normal form of `linalg.kernel_basis`: map j is 1 at
-    the j-th free position of the flattened maps, which is its last nonzero
-    entry, and 0 at every other free position.  Its flat matrix is the
-    identity on those rows, so the coordinates of a map are its entries
-    there.  Each subspace has exactly one basis of this form.
+    Column j of `flat_matrix` is basis map j flattened (`RepMap.flatten`),
+    in the normal form of `linalg.kernel_basis`: map j is 1 at the j-th free
+    position, which is its last nonzero entry, and 0 at every other free
+    position.  The matrix is the identity on those rows, so the coordinates
+    of a map are its entries there.  Each subspace has exactly one basis of
+    this form.
+
+    The maps of the basis are built only when `basis` is read.  Composites
+    with a fixed map come from the matrix, one product per vertex: `after`
+    and `before` give them as flattened columns, which `coords_of` of the
+    space they land in reads.
     """
 
     source: Rep
     target: Rep
-    basis: list  # list of RepMap
-    # flat_matrix and _rows once computed: functions of the basis blocks
-    # alone, so the copies of this space on twin modules (_hom_on) share
-    # the dict
-    _arrays: dict = field(default_factory=dict, repr=False)
+    flat_matrix: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.flat_matrix.shape[1]
 
-    @property
-    def flat_matrix(self) -> np.ndarray:
-        """Columns = flattened basis maps."""
-        arrays = self._arrays
-        if "flat" not in arrays:
-            if self.basis:
-                arrays["flat"] = np.stack([f.flatten() for f in self.basis], axis=1)
-            else:
-                n = sum(
-                    self.target.dims[i] * self.source.dims[i]
-                    for i in range(len(self.source.dims))
-                )
-                arrays["flat"] = linalg.zeros(n, 0)
-        return arrays["flat"]
+    @functools.cached_property
+    def basis(self) -> list:
+        return [
+            map_from_flat(self.source, self.target, self.flat_matrix[:, j])
+            for j in range(self.dim)
+        ]
 
-    @property
+    @functools.cached_property
     def _rows(self) -> np.ndarray:
         """The free position of each basis map: its last nonzero entry."""
-        arrays = self._arrays
-        if "rows" not in arrays:
-            a = self.flat_matrix
-            rows = a.shape[0] - 1 - np.argmax(a[::-1] != 0, axis=0)
-            if not np.array_equal(a[rows], linalg.eye(self.dim)):
-                raise RuntimeError("hom basis is not in kernel_basis normal form")
-            arrays["rows"] = rows
-        return arrays["rows"]
+        a = self.flat_matrix
+        if not a.size:
+            return np.zeros(0, dtype=np.intp)
+        rows = a.shape[0] - 1 - np.argmax(a[::-1] != 0, axis=0)
+        if not np.array_equal(a[rows], linalg.eye(self.dim)):
+            raise RuntimeError("hom basis is not in kernel_basis normal form")
+        return rows
+
+    def _rows_at(self, v: int) -> np.ndarray:
+        """The rows of flat_matrix that hold the blocks at vertex v."""
+        sizes = [t * s for t, s in zip(self.target.dims, self.source.dims)]
+        start = sum(sizes[: v - 1])
+        return self.flat_matrix[start : start + sizes[v - 1]]
+
+    def blocks(self, v: int) -> np.ndarray:
+        """The blocks at vertex v of the basis maps, stacked: (dim, t_v, s_v),
+        contiguous, as stacked products run fastest on."""
+        t, s = self.target.dim_at(v), self.source.dim_at(v)
+        stacked = self._rows_at(v).reshape(t, s, self.dim).transpose(2, 0, 1)
+        return np.ascontiguousarray(stacked)
+
+    def after(self, f: RepMap) -> np.ndarray:
+        """f . b for every basis map b, flattened into columns."""
+        p, e = self.source.p, self.dim
+        parts = []
+        for v, s in enumerate(self.source.dims, 1):
+            fv = f.block(v)
+            rows = self._rows_at(v).reshape(fv.shape[1], s * e)
+            parts.append(matmul(fv, rows, p).reshape(fv.shape[0] * s, e))
+        return np.vstack(parts)
+
+    def before(self, g: RepMap) -> np.ndarray:
+        """b . g for every basis map b, flattened into columns."""
+        p, e = self.source.p, self.dim
+        parts = []
+        for v, t in enumerate(self.target.dims, 1):
+            gv = g.block(v)
+            rows = self._rows_at(v).reshape(t, gv.shape[0], e)
+            parts.append(matmul(gv.T, rows, p).reshape(t * gv.shape[1], e))
+        return np.vstack(parts)
 
     def coords(self, f: RepMap):
         """Coefficients of f in the basis, or None if f is outside (it never is
@@ -320,17 +346,16 @@ class HomSpace:
             return None
 
     def coords_of(self, maps) -> np.ndarray:
-        """Coefficients of the maps as the columns of one matrix: their
-        entries at the free positions, then one product to verify; raises
-        ValueError if a map lies outside the space."""
+        """Coefficients of maps, a list of maps or their flattened columns, as
+        the columns of one matrix: their entries at the free positions, then
+        one product to verify; raises ValueError if a map lies outside."""
         p = self.source.p
-        if not maps:
-            return linalg.zeros(self.dim, 0)
-        v = np.stack([f.flatten() for f in maps], axis=1) % p
-        if not self.basis:
-            if v.any():
-                raise ValueError("map lies outside this Hom space")
-            return linalg.zeros(0, v.shape[1])
+        if isinstance(maps, np.ndarray):
+            v = maps % p
+        elif maps:
+            v = np.stack([f.flatten() for f in maps], axis=1) % p
+        else:
+            v = linalg.zeros(self.flat_matrix.shape[0], 0)
         c = v[self._rows]
         if not np.array_equal(matmul(self.flat_matrix, c, p), v):
             raise ValueError("map lies outside this Hom space")
@@ -344,9 +369,8 @@ class HomSpace:
 
 def _hom_on(hs: HomSpace, m: Rep, n: Rep) -> HomSpace:
     """hs, a Hom space between twins of m and n, as Hom(m, n): the same
-    blocks and arrays."""
-    basis = [RepMap(m, n, f.blocks, check=False) for f in hs.basis]
-    return HomSpace(m, n, basis, hs._arrays)
+    matrix."""
+    return HomSpace(m, n, hs.flat_matrix)
 
 
 @memoized(rebind=_hom_on)
@@ -384,9 +408,7 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
         f_s[:, j, :, j] -= n.maps[a.name]
         rows.append(block.reshape(n_t * m_s, total))
     system = np.vstack(rows) if rows else linalg.zeros(0, total)
-    kb = linalg.kernel_basis(system, p)
-    basis = [map_from_flat(m, n, kb[:, j], check=False) for j in range(kb.shape[1])]
-    return HomSpace(m, n, basis)
+    return HomSpace(m, n, linalg.kernel_basis(system, p))
 
 
 # hom_basis as written, captured at import: the key of its memo entries,
@@ -423,7 +445,7 @@ class HomQuotient:
 
 
 def hom_quotient(hs: HomSpace, maps: list) -> HomQuotient:
-    """hs modulo the span of maps (each in hs)."""
+    """hs modulo the span of maps (each in hs), a list or flattened columns."""
     return HomQuotient(hs, linalg.Quotient(hs.coords_of(maps), hs.dim, hs.source.p))
 
 
@@ -545,20 +567,14 @@ def image_of(f: RepMap) -> tuple:
 def factor_through_left(f: RepMap, h: RepMap):
     """Some x with f . x = h (x: h.source -> f.source), or None."""
     hs = hom_basis(h.source, f.source)
-    if hs.dim == 0:
-        return zero_map(h.source, f.source) if h.is_zero else None
-    cols = np.stack([f.compose(b).flatten() for b in hs.basis], axis=1)
-    ok, c = linalg.in_span(cols, h.flatten(), f.p)
+    ok, c = linalg.in_span(hs.after(f), h.flatten(), f.p)
     return hs.from_coords(c) if ok else None
 
 
 def factor_through_right(g: RepMap, h: RepMap):
     """Some x with x . g = h (x: g.target -> h.target), or None."""
     hs = hom_basis(g.target, h.target)
-    if hs.dim == 0:
-        return zero_map(g.target, h.target) if h.is_zero else None
-    cols = np.stack([b.compose(g).flatten() for b in hs.basis], axis=1)
-    ok, c = linalg.in_span(cols, h.flatten(), g.p)
+    ok, c = linalg.in_span(hs.before(g), h.flatten(), g.p)
     return hs.from_coords(c) if ok else None
 
 
@@ -576,40 +592,39 @@ class EndAlgebra:
     def __init__(self, m: Rep):
         self.module = m
         self.p = m.p
-        hs = hom_basis(m, m)
-        self.basis = hs.basis
-        self.dim = hs.dim
-        self._hs = hs
+        self._hs = hom_basis(m, m)
+        self.dim = self._hs.dim
         self.gram = self._trace_gram()
         self.radical_coords = linalg.kernel_basis(self.gram, self.p)
         self.radical_dim = self.radical_coords.shape[1]
         # End(M)/rad, in the coordinates the rref of the radical leaves free
         self.quotient = linalg.Quotient(self.radical_coords, self.dim, self.p)
 
+    @property
+    def basis(self) -> list:
+        return self._hs.basis
+
     def _trace_gram(self) -> np.ndarray:
         """gram[i, j] = tr(L_{b_i b_j}) for the basis maps b_i.
 
-        coords(f) = psi . flat(f), with psi (e x n) selecting the free
-        positions of the basis (HomSpace).  With B_k, Psi_k the vertex-v
-        blocks of b_k and of row k of psi, tr(L_x) = sum_v <X_v, Q_v> for
-        Q_v = sum_k Psi_k B_k^T, so gram[i, j] = sum_v <B_i, Q_v B_j^T>.
+        coords(f) is the entries of f at the free positions of the basis
+        (HomSpace): basis map k is read at entry (r_k, c_k) of its block at
+        some vertex.  With B_k the vertex-v blocks, tr(L_x) = sum_v <X_v, Q_v>
+        for Q_v the sum of column c_k of B_k put in row r_k, over the k read
+        at v, so gram[i, j] = sum_v <B_i, Q_v B_j^T>.
         """
-        p = self.p
+        p, hs = self.p, self._hs
         e = self.dim
         gram = linalg.zeros(e, e)
-        if not e:
-            return gram
-        psi = linalg.zeros(e, self._hs.flat_matrix.shape[0])
-        psi[np.arange(e), self._hs._rows] = 1
         offsets = np.cumsum([0] + [d * d for d in self.module.dims])
+        vertex = np.searchsorted(offsets, hs._rows, side="right") - 1
         for v, d in enumerate(self.module.dims):
-            blocks = np.stack([b.blocks[v] for b in self.basis])
-            bt = blocks.transpose(0, 2, 1)
-            psi_v = psi[:, offsets[v] : offsets[v + 1]].reshape(e, d, d)
-            q = matmul(
-                psi_v.transpose(1, 0, 2).reshape(d, e * d), bt.reshape(e * d, d), p
-            )
-            q_bt = matmul(q, bt, p).reshape(e, d * d)
+            blocks = hs.blocks(v + 1)
+            ks = np.flatnonzero(vertex == v)
+            r, c = np.divmod(hs._rows[ks] - offsets[v], d)
+            q = linalg.zeros(d, d)
+            np.add.at(q, r, blocks[ks, :, c])
+            q_bt = matmul(q % p, blocks.transpose(0, 2, 1), p).reshape(e, d * d)
             gram = (gram + matmul(blocks.reshape(e, d * d), q_bt.T, p)) % p
         return gram
 
@@ -622,10 +637,7 @@ class EndAlgebra:
             )
 
     def coords(self, f: RepMap) -> np.ndarray:
-        c = self._hs.coords(f)
-        if c is None:
-            raise ValueError("map is not an endomorphism coordinate")
-        return c
+        return self._hs.coords_of([f])[:, 0]
 
     def from_coords(self, coords) -> RepMap:
         return self._hs.from_coords(coords)
@@ -676,7 +688,6 @@ def _end_on(end: EndAlgebra, m: Rep) -> EndAlgebra:
     out = copy.copy(end)
     out.module = m
     out._hs = hom_basis(m, m)
-    out.basis = out._hs.basis
     return out
 
 
@@ -699,18 +710,16 @@ def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
     the candidates still standing, and one stacked matmul tests f o f = f.
     """
     p, e = end.p, end.dim
-    flat = end._hs.flat_matrix
     ident = end.identity_coords()
-    offsets = np.cumsum([0] + [d * d for d in end.module.dims])
     place = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
-    chunk = max(1, EXHAUSTIVE_CHUNK_ENTRIES // max(1, flat.shape[0]))
+    chunk = max(1, EXHAUSTIVE_CHUNK_ENTRIES // max(1, end._hs.flat_matrix.shape[0]))
     for start in range(0, p**e, chunk):
         index = np.arange(start, min(start + chunk, p**e), dtype=np.int64)
         coeffs = index[:, None] // place % p  # the order of itertools.product
         coeffs = coeffs[coeffs.any(axis=1) & (coeffs != ident).any(axis=1)]
-        for v, d in enumerate(end.module.dims):
-            rows = flat[offsets[v] : offsets[v + 1]]
-            f = matmul(coeffs, rows.T, p).reshape(len(coeffs), d, d)
+        for v, d in enumerate(end.module.dims, 1):
+            f = matmul(coeffs, end._hs.blocks(v).reshape(e, d * d), p)
+            f = f.reshape(len(coeffs), d, d)
             coeffs = coeffs[(matmul(f, f, p) == f).all(axis=(1, 2))]
         if len(coeffs):
             return True
@@ -876,13 +885,12 @@ def _corner_end(end: EndAlgebra, n: Rep, incl: RepMap, proj: RepMap) -> HomSpace
     """
     p, e = end.p, end.dim
     parts = []
-    for v, d in enumerate(n.dims):
-        blocks = np.stack([b.blocks[v] for b in end.basis])
-        corner = matmul(matmul(proj.blocks[v], blocks, p), incl.blocks[v], p)
+    for v, d in enumerate(n.dims, 1):
+        blocks = end._hs.blocks(v)
+        corner = matmul(matmul(proj.block(v), blocks, p), incl.block(v), p)
         parts.append(corner.reshape(e, d * d))
     r, pivots = linalg.rref(np.hstack(parts)[:, ::-1], p)
-    flat = r[: len(pivots)][::-1, ::-1]
-    return HomSpace(n, n, [map_from_flat(n, n, row) for row in flat])
+    return HomSpace(n, n, np.ascontiguousarray(r[: len(pivots)][::-1, ::-1].T))
 
 
 def _split_indecomposables(m: Rep, rng: random.Random):

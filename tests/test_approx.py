@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arquiver import approx
+from arquiver import approx, corpus
 from arquiver.approx import (
     CapExceeded,
     Subcat,
@@ -17,6 +17,7 @@ from arquiver.approx import (
 )
 from arquiver.homological import dtr, proj
 from arquiver.rep import (
+    PrimeTooSmall,
     Rep,
     decompose,
     direct_sum,
@@ -211,6 +212,20 @@ def test_right_minimal_zero_map_collapses(alg_a2):
     nu = zero_map(s2, s2)
     out = right_minimal_reduce(nu)
     assert out.source.is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_right_minimality_needs_the_radical_guard(p):
+    # End(S1^p) = M_p(F_p): its regular trace form p.tr(xy) is zero, so the
+    # trace-form radical would be all of End and the zero map would pass
+    alg = corpus.a2(p)
+    s1 = simple(alg, 1)
+    src, _, _ = direct_sum([s1] * p)
+    nu = zero_map(src, s1)
+    with pytest.raises(PrimeTooSmall):
+        right_minimality_certificate(nu)
+    with pytest.raises(PrimeTooSmall):
+        right_minimal_reduce(nu)
 
 
 def test_right_minimal_indecomposable_nonzero_unchanged(alg_a2):

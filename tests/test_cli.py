@@ -215,6 +215,11 @@ def test_equiv_4x_small(capsys):
     assert "agreements = 10/10" in capsys.readouterr().out
 
 
+def test_a_negative_instance_count_is_a_usage_error(capsys):
+    assert run(["equiv-4x", "--instances", "-2"]) == 2
+    assert "a count cannot be negative" in capsys.readouterr().err
+
+
 def test_exactness_dp(a2_files, capsys):
     assert run(["exactness-dp", "--algebra", str(a2_files / "a2.alg")]) == 0
     assert "failures = []" in capsys.readouterr().out
@@ -286,6 +291,40 @@ def test_ar_start_guard_exit_code(kron_files, tmp_path, capsys):
                 "--module", str(tmp_path / "q7.mod"),
                 "--subcat", str(tmp_path / "pi13.sub")]) == 3
     assert "guard:" in capsys.readouterr().out
+
+
+def _kron_ar_end(kron_files, tmp_path, subcat_text, prime=None):
+    alg = corpus.kronecker()
+    fileio.write_module(simple(alg, 1), str(tmp_path / "s1.mod"), name="S1")
+    fileio.write_module(Rep(alg, (2, 0), {}), str(tmp_path / "s1s1.mod"), name="S1S1")
+    fileio.write_module(Rep(alg, (5, 0), {}), str(tmp_path / "s1x5.mod"), name="S1x5")
+    (tmp_path / "x.sub").write_text(subcat_text)
+    flags = [] if prime is None else ["--prime", str(prime)]
+    return run(["ar-end", "--algebra", str(kron_files / "kron.alg"), *flags,
+                "--module", str(tmp_path / "s1.mod"), "--subcat", str(tmp_path / "x.sub")])
+
+
+@pytest.mark.parametrize(
+    "subcat_text, message",
+    [
+        ("subcat postprojective cap -1\n", "family subcategories need a positive cap"),
+        ("subcat finite\ns1s1.mod\n", "generators must be indecomposable"),
+        ("subcat finite\ns1.mod\ns1.mod\n", "generators must be pairwise non-isomorphic"),
+    ],
+)
+def test_a_malformed_subcat_is_a_usage_error(kron_files, tmp_path, capsys, subcat_text,
+                                             message):
+    assert _kron_ar_end(kron_files, tmp_path, subcat_text) == 2
+    out = capsys.readouterr().out.strip()
+    assert out == f"usage error: subcat cannot be built: {message}"
+
+
+def test_a_subcat_generator_beyond_the_radical_guard_is_a_guard(kron_files, tmp_path,
+                                                                capsys):
+    # End(S1^5) has dimension 25: over F_2 neither the trace form nor the
+    # exhaustive idempotent search may decide it
+    assert _kron_ar_end(kron_files, tmp_path, "subcat finite\ns1x5.mod\n", prime=2) == 3
+    assert capsys.readouterr().out.startswith("guard: ")
 
 
 def test_ar_end_shows_the_family_cap(kron_files, capsys):

@@ -150,6 +150,7 @@ def test_a_basis_out_of_normal_form_is_refused():
     m = _corpus(32003)[0]
     hs = hom_basis.__wrapped__(m, m)
     assert hs.dim >= 2
-    mixed = HomSpace(m, m, [hs.basis[0] + hs.basis[1], hs.basis[1]])
+    flat = hs.flat_matrix
+    mixed = HomSpace(m, m, np.stack([(flat[:, 0] + flat[:, 1]) % m.p, flat[:, 1]], axis=1))
     with pytest.raises(RuntimeError, match="normal form"):
         mixed.coords_of([hs.basis[0]])
