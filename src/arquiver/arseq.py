@@ -263,7 +263,10 @@ def ar_start_in_subcat(l_mod: Rep, sub: Subcat, seed: int = DEFAULT_SEED) -> ARO
     Runs ar_end_in_subcat for dual(L) in the dual subcategory over the
     opposite algebra, dualizes the sequence back, and re-verifies on this
     side.  The dual run checks every hypothesis: L indecomposable and in
-    sub, and Ext^1(G, L) ~ Ext^1(DL, DG) nonzero for some member G.
+    sub, and Ext^1(G, L) ~ Ext^1(DL, DG) nonzero for some member G.  The
+    re-verification reads most of its Hom spaces off the dual run:
+    hom_basis(M, N) finds Hom(DN, DM) solved there and transposes it
+    (`rep.hom_basis`), so only pairs the dual run never met are solved.
     """
     outcome = ar_end_in_subcat(dual(l_mod), dual_subcat(sub), seed=seed)
     if outcome.status != "found":

@@ -33,6 +33,13 @@ a module alive nor depends on when the cyclic collector frees a twin.
 An answer found another way can be kept in advance (`remember`): the End
 of a direct summand, read off the End of the module it splits from, is
 stored as the summand's Hom(N, N), so asking for it later solves nothing.
+An answer can also be read off another one already kept (`kept`): Hom(M,
+N) over an algebra is Hom(DN, DM) over its opposite with every block
+transposed, so `rep.hom_basis` first looks in the memo of the live twin of
+DN over the opposite algebra, if there is one, and solves only when that
+space is not kept there.  It reads the dual twins through the algebra's
+weak twin table and keeps no reference to them: a freed dual twin means a
+solve, never another answer.
 """
 
 from __future__ import annotations
@@ -80,6 +87,12 @@ def remember(fn, make, obj, *args) -> None:
     key = _key(fn, args)
     if key not in obj._memo:
         obj._memo[key] = make()
+
+
+def kept(fn, obj, *args):
+    """The answer of the memoized fn(obj, *args) if obj keeps one, else
+    None; fn as for `remember`.  Nothing is computed."""
+    return obj._memo.get(_key(fn, args))
 
 
 def table(alg, key, compute, to_arrays, from_arrays):

@@ -20,7 +20,7 @@ from . import linalg
 from .algebra import Algebra
 from .fpoly import factor_mod as _factor_mod  # a module global, so it can be wrapped
 from .linalg import matmul
-from .memo import memoized, remember, table
+from .memo import kept, memoized, remember, table
 
 DEFAULT_SEED = 1
 
@@ -112,6 +112,12 @@ class Rep:
         """(dims, map bytes in arrow order): equal exactly for modules over
         one algebra that are equal entry for entry."""
         return self.dims, b"".join(b.tobytes() for b in self.maps.values())
+
+    @functools.cached_property
+    def dual_content_key(self) -> tuple:
+        """content_key of dual(self): the maps transposed, over the opposite
+        algebra."""
+        return self.dims, b"".join(b.T.tobytes() for b in self.maps.values())
 
     @property
     def twin(self) -> "Rep":
@@ -337,14 +343,6 @@ class HomSpace:
             parts.append(matmul(gv.T, rows, p).reshape(t * gv.shape[1], e))
         return np.vstack(parts)
 
-    def coords(self, f: RepMap):
-        """Coefficients of f in the basis, or None if f is outside (it never is
-        for a genuine hom)."""
-        try:
-            return self.coords_of([f])[:, 0]
-        except ValueError:
-            return None
-
     def coords_of(self, maps) -> np.ndarray:
         """Coefficients of maps, a list of maps or their flattened columns, as
         the columns of one matrix: their entries at the free positions, then
@@ -373,9 +371,16 @@ def _hom_on(hs: HomSpace, m: Rep, n: Rep) -> HomSpace:
     return HomSpace(m, n, hs.flat_matrix)
 
 
-@memoized(rebind=_hom_on)
-def hom_basis(m: Rep, n: Rep) -> HomSpace:
-    """Solve the commuting conditions; basis ordered by kernel_basis order.
+def _normal_form(spanning: np.ndarray, p: int) -> np.ndarray:
+    """The basis in kernel_basis normal form (HomSpace) of the span of the
+    rows of spanning, as columns: their rref with the columns reversed,
+    read back reversed."""
+    r, pivots = linalg.rref(spanning[:, ::-1], p)
+    return np.ascontiguousarray(r[: len(pivots)][::-1, ::-1].T)
+
+
+def _hom_system(m: Rep, n: Rep) -> np.ndarray:
+    """The commuting conditions on Hom(m, n), one row per condition.
 
     A hom f: M -> N is the blocks f_v (n_v x m_v), flattened row-major and
     concatenated in vertex order.  Each arrow a: s -> t gives n_t * m_s
@@ -383,14 +388,7 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     (i, k) of f_t and -N_a[i, l] at column (l, j) of f_s; on a loop (s = t)
     the two share their columns and add.  The entries stay in (-p, p); rref
     reduces the system mod p once.
-
-    Memoized (memo.memoized) on the source module, keyed by the target,
-    since verification sweeps ask for the same pair many times; twin
-    modules share one solve.
     """
-    if m.algebra is not n.algebra:
-        raise AlgebraMismatch("modules live over different algebras")
-    p = m.p
     sizes = [n.dims[i] * m.dims[i] for i in range(len(m.dims))]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
@@ -407,8 +405,57 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
         f_t[i, :, i, :] = m.maps[a.name].T
         f_s[:, j, :, j] -= n.maps[a.name]
         rows.append(block.reshape(n_t * m_s, total))
-    system = np.vstack(rows) if rows else linalg.zeros(0, total)
-    return HomSpace(m, n, linalg.kernel_basis(system, p))
+    return np.vstack(rows) if rows else linalg.zeros(0, total)
+
+
+def _dual_hom(m: Rep, n: Rep):
+    """Hom(m, n) read off Hom(D n, D m) over the opposite algebra, when the
+    twins of D n and D m are alive and that space is solved already; else
+    None.
+
+    f -> D f transposes every block, so the dual space's basis maps,
+    transposed, span Hom(m, n): on the flat matrix that permutes the rows
+    within each vertex.  Its normal form is the one hom_basis(m, n) solves.
+    """
+    op = m.algebra._op
+    if op is None:
+        return None
+    dm = op._twins.get(m.dual_content_key)
+    dn = op._twins.get(n.dual_content_key)
+    hs = None if dm is None or dn is None else kept(_solve_hom, dn, dm)
+    if hs is None:
+        return None
+    order, start = [], 0
+    for mv, nv in zip(m.dims, n.dims):
+        # entry (i, j) of the n_v x m_v block is entry (j, i) of the dual one
+        order.append(start + np.arange(mv * nv).reshape(mv, nv).T.reshape(-1))
+        start += mv * nv
+    return _normal_form(hs.flat_matrix[np.concatenate(order)].T, m.p)
+
+
+@memoized(rebind=_hom_on)
+def hom_basis(m: Rep, n: Rep) -> HomSpace:
+    """Hom(m, n): the kernel of its commuting conditions (`_hom_system`),
+    basis in kernel_basis order.
+
+    Memoized (memo.memoized) on the source module, keyed by the target,
+    since verification sweeps ask for the same pair many times; twin
+    modules share one solve.
+
+    When Hom(D n, D m) over the opposite algebra is solved already, on the
+    live twins of D n and D m, the space is read off it instead
+    (`_dual_hom`): Hom_L(M, N) ~ Hom_Lop(DN, DM) by transposing every
+    block, and one rref brings the transposed basis to normal form.  A
+    subspace has one basis in that form, so the answer is the one the
+    solve would give, bit for bit; a dual twin already freed only means
+    the system is solved.
+    """
+    if m.algebra is not n.algebra:
+        raise AlgebraMismatch("modules live over different algebras")
+    flat = _dual_hom(m, n)
+    if flat is None:
+        flat = linalg.kernel_basis(_hom_system(m, n), m.p)
+    return HomSpace(m, n, flat)
 
 
 # hom_basis as written, captured at import: the key of its memo entries,
@@ -878,10 +925,9 @@ def _corner_end(end: EndAlgebra, n: Rep, incl: RepMap, proj: RepMap) -> HomSpace
     proj, read off End(M) without solving n's commuting system.
 
     End(n) = proj . End(M) . incl: vertex by vertex, two stacked products
-    over the basis give a spanning set of flattened maps.  Its rref with the
-    columns reversed, read back reversed, is the one basis of End(n) in
-    kernel_basis normal form (HomSpace), so it is what hom_basis(n, n)
-    would compute.
+    over the basis give a spanning set of flattened maps.  Its
+    `_normal_form` is the one basis of End(n) in kernel_basis normal form
+    (HomSpace), so it is what hom_basis(n, n) would compute.
     """
     p, e = end.p, end.dim
     parts = []
@@ -889,8 +935,7 @@ def _corner_end(end: EndAlgebra, n: Rep, incl: RepMap, proj: RepMap) -> HomSpace
         blocks = end._hs.blocks(v)
         corner = matmul(matmul(proj.block(v), blocks, p), incl.block(v), p)
         parts.append(corner.reshape(e, d * d))
-    r, pivots = linalg.rref(np.hstack(parts)[:, ::-1], p)
-    return HomSpace(n, n, np.ascontiguousarray(r[: len(pivots)][::-1, ::-1].T))
+    return HomSpace(n, n, _normal_form(np.hstack(parts), p))
 
 
 def _split_indecomposables(m: Rep, rng: random.Random):

@@ -143,7 +143,6 @@ def test_a_map_outside_the_space_raises():
     f = rep.map_from_flat(m, m, flat)
     with pytest.raises(ValueError, match="outside this Hom space"):
         hs.coords_of([f])
-    assert hs.coords(f) is None
 
 
 def test_a_basis_out_of_normal_form_is_refused():

@@ -42,9 +42,7 @@ def reference_end_data(m: Rep):
     struct = np.zeros((e, e, e), dtype=np.int64)
     for i in range(e):
         for j in range(e):
-            c = hs.coords(hs.basis[i].compose(hs.basis[j]))
-            assert c is not None
-            struct[i, j] = c
+            struct[i, j] = hs.coords_of([hs.basis[i].compose(hs.basis[j])])[:, 0]
     tr_l = np.array(
         [int(struct[mm, :, :].diagonal().sum() % p) for mm in range(e)],
         dtype=np.int64,

@@ -22,6 +22,15 @@ from test_rref_kernel import BIG_PRIME
 PRIMES = [2, 3, 32003, BIG_PRIME]
 
 
+def coords(hs, f):
+    """Coefficients of one map f in the basis of hs, or None if f lies
+    outside hs: coords_of on f alone."""
+    try:
+        return hs.coords_of([f])[:, 0]
+    except ValueError:
+        return None
+
+
 class CosetSpace:
     """Coordinates on a quotient V / U of coefficient spaces.
 
@@ -68,7 +77,7 @@ def oracle_stable_hom(a, b, variant):
         ps, epi = projective_cover(b)
         gens = [epi.compose(g) for g in hom_basis(a, ps.rep).basis]
     if gens and hs.dim:
-        ideal = np.stack([hs.coords(g) for g in gens], axis=1)
+        ideal = np.stack([coords(hs, g) for g in gens], axis=1)
     else:
         ideal = linalg.zeros(hs.dim, 0)
     return hs, ideal, CosetSpace(ideal, hs.dim, a.p)
@@ -153,7 +162,7 @@ def test_coords_of_matches_stacked_coords():
         maps = list(hs.basis) + [
             hs.from_coords([rng.randrange(a.p) for _ in range(hs.dim)]) for _ in range(3)
         ]
-        want = np.stack([hs.coords(f) for f in maps], axis=1)
+        want = np.stack([coords(hs, f) for f in maps], axis=1)
         assert np.array_equal(hs.coords_of(maps), want)
 
 
@@ -169,7 +178,7 @@ def test_coords_of_raises_on_a_map_outside_the_space():
             f = RepMap(a, b, blocks, check=False)
         hs = hom_basis(a, b)
         checked += 1
-        assert hs.coords(f) is None
+        assert coords(hs, f) is None
         with pytest.raises(ValueError):
             hs.coords_of(list(hs.basis) + [f])
         with pytest.raises(ValueError):
@@ -188,7 +197,7 @@ def test_hom_quotient_matches_the_former_stable_hom_space(variant):
         assert sh.ideal_dim == linalg.rank(ideal, a.p)
         classes = [sh.class_of(f) for f in hs.basis]
         for cls, f in zip(classes, hs.basis):
-            assert np.array_equal(cls, coset.to_coords(hs.coords(f)))
+            assert np.array_equal(cls, coset.to_coords(coords(hs, f)))
         if hs.basis:
             assert np.array_equal(sh.coords_of(hs.basis), np.stack(classes, axis=1))
         for q in linalg.eye(sh.dim):
