@@ -86,20 +86,46 @@ class Subcat:
         return f"{self.kind}[cap {self.cap}]"
 
 
-def _first_outside(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> Rep | None:
-    """The first indecomposable summand of m that is not a member of sub,
-    or None; for a family, a summand beyond the cap counts as outside."""
+def _matched(sub: Subcat, m: Rep, seed: int) -> tuple:
+    """(matches, outside) over the summands of m in decomposition order:
+    matches pairs each summand (a `rep.Summand`) with the first member
+    isomorphic to it and that isomorphism, up to the first summand that
+    is no member; outside is that summand's rep, or None.  For a family, a
+    summand beyond the cap counts as outside."""
+    matches = []
     if m.is_zero:
-        return None
+        return matches, None
     members = sub.members()
     for g in decompose(m, seed=seed):
-        if _beyond_cap(sub, g.rep) or all(iso(g.rep, x) is None for x in members):
-            return g.rep
+        found = None if _beyond_cap(sub, g.rep) else _first_iso(g.rep, members)
+        if found is None:
+            return matches, g.rep
+        matches.append((g, *found))
+    return matches, None
+
+
+def _first_iso(g: Rep, members: list):
+    """(x, iso g -> x) for the first member x isomorphic to g, or None."""
+    for x in members:
+        f = iso(g, x)
+        if f is not None:
+            return x, f
     return None
 
 
 def _beyond_cap(sub: Subcat, g: Rep) -> bool:
     return sub.kind != "finite" and g.total_dim > sub.cap
+
+
+def member_matches(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> list | None:
+    """The matches of `_matched` when every summand of m is a member, else
+    None; raises CapExceeded for a summand beyond a family's cap."""
+    matches, bad = _matched(sub, m, seed)
+    if bad is not None and _beyond_cap(sub, bad):
+        raise CapExceeded(
+            f"summand of total dim {bad.total_dim} undecidable within cap {sub.cap}"
+        )
+    return matches if bad is None else None
 
 
 def contains(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> bool:
@@ -109,12 +135,28 @@ def contains(sub: Subcat, m: Rep, seed: int = DEFAULT_SEED) -> bool:
     whose total dimension exceeds the cap is undecidable and raises
     CapExceeded rather than returning a guess.
     """
-    bad = _first_outside(sub, m, seed)
-    if bad is not None and _beyond_cap(sub, bad):
-        raise CapExceeded(
-            f"summand of total dim {bad.total_dim} undecidable within cap {sub.cap}"
-        )
-    return bad is None
+    return member_matches(sub, m, seed) is not None
+
+
+def member_split(matches: list, seed: int) -> list:
+    """A module written as a direct sum of members, from the matches
+    `member_matches` found for it at this seed: one (member x, incl: x ->
+    m, proj: m -> x) per indecomposable copy, the incl . proj summing to
+    the identity of m (`rep.record_split`).
+
+    Copy k's own Fitting piece (`rep.Summand`) is carried to its member by
+    the isomorphisms `decompose` and the membership test have found and
+    kept in `iso`'s table, inverted block by block: no Hom space is solved
+    and no isomorphism searched for.
+    """
+    parts = []
+    for g, x, to_x in matches:
+        for incl, proj in zip(g.inclusions, g.projections):
+            f = to_x
+            if incl.source is not g.rep:
+                f = to_x.compose(iso(g.rep, incl.source, seed=seed).inverse())
+            parts.append((x, incl.compose(f.inverse()), f.compose(proj)))
+    return parts
 
 
 # -- extension-closure audit ------------------------------------------------
@@ -162,7 +204,7 @@ def audit_extension_closed(
                     classes.append(v)
             for coords in classes:
                 report.classes_checked += 1
-                bad = _first_outside(sub, ext.realize(coords).middle, seed)
+                _, bad = _matched(sub, ext.realize(coords).middle, seed)
                 if bad is not None:
                     report.passed = False
                     report.failures.append((z, x, coords, bad))

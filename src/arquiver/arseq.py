@@ -26,6 +26,8 @@ from .approx import (
     contains,
     dual_subcat,
     is_precover,
+    member_matches,
+    member_split,
     right_minimal_reduce,
 )
 from .homological import (
@@ -50,6 +52,7 @@ from .rep import (
     identity_map,
     is_indecomposable,
     iso,
+    record_split,
 )
 
 # Right-minimal reduction builds End(source); skip it for huge sources.
@@ -142,13 +145,26 @@ class ARReport:
 
 
 def verify_ar_sequence(s: SES, sub: Subcat, seed: int = DEFAULT_SEED) -> ARReport:
+    """Whether s is an AR sequence in sub: its three terms in sub, g right
+    and f left almost split against the members.
+
+    The membership test matches each summand of a term with a member
+    (`approx.member_matches`), and a term that passes keeps the split into
+    members this gives (`approx.member_split`) in the memo of its twin
+    (`rep.record_split`).  The almost-split checks then read Hom(T, B),
+    Hom(B, T), Hom(T, C) and the like off the members' own Hom spaces
+    (`rep.hom_basis`), bit for bit the spaces a solve would give.
+    """
     testset = sub.members()
-    membership = tuple(
-        contains(sub, term, seed=seed) for term in (s.left, s.middle, s.right)
-    )
+    membership = []
+    for term in (s.left, s.middle, s.right):
+        matches = member_matches(sub, term, seed=seed)
+        if matches is not None:
+            record_split(term, lambda: member_split(matches, seed))
+        membership.append(matches is not None)
     right_rep = almost_split(s.g, testset, "right")
     left_rep = almost_split(s.f, testset, "left")
-    return ARReport(membership, right_rep, left_rep)
+    return ARReport(tuple(membership), right_rep, left_rep)
 
 
 def ar_sequence_global(m: Rep) -> SES:

@@ -40,6 +40,15 @@ DN over the opposite algebra, if there is one, and solves only when that
 space is not kept there.  It reads the dual twins through the algebra's
 weak twin table and keeps no reference to them: a freed dual twin means a
 solve, never another answer.
+
+Last, an answer can be read off a recorded split.  When an AR verification
+has written a term X as a direct sum of members x_j (split maps incl_j:
+x_j -> X and proj_j: X -> x_j, the incl_j . proj_j summing to the
+identity), it keeps that split in the memo of X's twin (`remember`, under
+`rep.record_split`).  Hom(M, X) is then the span of incl_j . Hom(M, x_j)
+and Hom(X, N) that of Hom(x_j, N) . proj_j, so `rep.hom_basis` reads both
+off the members' spaces instead of solving X's system.  The split lives
+and dies with the twin, like every other answer kept there.
 """
 
 from __future__ import annotations

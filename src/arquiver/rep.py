@@ -240,6 +240,14 @@ class RepMap:
     def equal(self, other: "RepMap") -> bool:
         return all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
 
+    def inverse(self) -> "RepMap":
+        """The inverse of an isomorphism, block by block; raises ValueError
+        if a block is singular."""
+        blocks = tuple(linalg.matrix_inverse(b, self.p) for b in self.blocks)
+        if any(b is None for b in blocks):
+            raise ValueError("map is not invertible")
+        return RepMap(self.target, self.source, blocks, check=False)
+
     def __repr__(self):
         return f"RepMap({self.source.dims} -> {self.target.dims})"
 
@@ -433,6 +441,74 @@ def _dual_hom(m: Rep, n: Rep):
     return _normal_form(hs.flat_matrix[np.concatenate(order)].T, m.p)
 
 
+def record_split(m: Rep, make) -> None:
+    """Keep a split of m in the memo of m's twin (`memo.remember`), unless
+    the twin keeps one already: make() gives parts = [(x, incl: x -> m,
+    proj: m -> x)] with the incl . proj summing to the identity of m, and
+    the maps are kept re-anchored on the twin.  hom_basis then reads Hom
+    spaces into and out of that content off those of the parts
+    (`_split_hom`).  Raises ValueError unless the sum is the identity.
+
+    No split is kept for the zero module, nor for a module equal to one of
+    its parts: its twin may be that part, whose Hom spaces would then be
+    read off themselves."""
+    twin = m.twin
+
+    def checked():
+        parts = make()
+        for v, d in enumerate(m.dims, 1):
+            incls = np.hstack([linalg.zeros(d, 0)] + [i.block(v) for _, i, _ in parts])
+            projs = np.vstack([linalg.zeros(0, d)] + [q.block(v) for _, _, q in parts])
+            if not np.array_equal(matmul(incls, projs, m.p), linalg.eye(d)):
+                raise ValueError("split maps do not sum to the identity")
+        if m.is_zero or any(x.content_key == m.content_key for x, _, _ in parts):
+            return None
+        return tuple(
+            (
+                x,
+                RepMap(x, twin, i.blocks, check=False),
+                RepMap(twin, x, q.blocks, check=False),
+            )
+            for x, i, q in parts
+        )
+
+    remember(_SPLIT, checked, twin)
+
+
+# record_split as written, captured at import: the key of the kept splits
+_SPLIT = record_split
+
+
+def _kept_split(m: Rep):
+    """The split kept for m's content, unless one of its parts keeps a
+    split too: a chain of splits could lead back to m."""
+    parts = kept(_SPLIT, m.twin)
+    if parts is None or any(kept(_SPLIT, x.twin) is not None for x, _, _ in parts):
+        return None
+    return parts
+
+
+def _split_hom(m: Rep, n: Rep):
+    """Hom(m, n) read off the Hom spaces of the parts of a split kept for
+    n or, failing that, for m (`record_split`); else None.
+
+    Hom is additive: Hom(m, sum x_j) is the span of incl_j . Hom(m, x_j),
+    and Hom(sum x_j, n) that of Hom(x_j, n) . proj_j.  One product per
+    vertex over each part's basis (`HomSpace.after`, `before`) gives a
+    spanning set, and its `_normal_form` is the one basis hom_basis(m, n)
+    would solve for.
+    """
+    parts = _kept_split(n)
+    if parts is not None:
+        spans = [hom_basis(m, x).after(incl) for x, incl, _ in parts]
+    else:
+        parts = _kept_split(m)
+        if parts is None:
+            return None
+        spans = [hom_basis(x, n).before(proj) for x, _, proj in parts]
+    return _normal_form(np.hstack(spans).T, m.p)
+
+
 @memoized(rebind=_hom_on)
 def hom_basis(m: Rep, n: Rep) -> HomSpace:
     """Hom(m, n): the kernel of its commuting conditions (`_hom_system`),
@@ -449,10 +525,17 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     subspace has one basis in that form, so the answer is the one the
     solve would give, bit for bit; a dual twin already freed only means
     the system is solved.
+
+    Otherwise, when a split of n or of m into parts is kept
+    (`record_split`: an AR verification keeps each term it has written as a
+    direct sum of members), the space is read off the parts' Hom spaces
+    (`_split_hom`), again in the one normal form.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
     flat = _dual_hom(m, n)
+    if flat is None:
+        flat = _split_hom(m, n)
     if flat is None:
         flat = linalg.kernel_basis(_hom_system(m, n), m.p)
     return HomSpace(m, n, flat)
@@ -822,6 +905,13 @@ def _poly_of_endo(f: RepMap, coeffs: list) -> RepMap:
 
 @dataclass
 class Summand:
+    """One isomorphism class of indecomposable summands, with one pair of
+    split maps per copy.  Copy k's maps run between the module and copy k's
+    own Fitting piece, `inclusions[k].source`: `rep` itself for the first
+    copy, a module isomorphic to `rep` but not the same object for the
+    others.  `decompose` has matched each such piece with `iso(rep,
+    piece)` at its seed, which `iso`'s table keeps."""
+
     rep: Rep
     multiplicity: int
     inclusions: list = field(default_factory=list)
