@@ -28,7 +28,6 @@ from .rep import (
     RepMap,
     direct_sum,
     dual,
-    dual_map,
     factor_through_left,
     hom_basis,
     hom_quotient,
@@ -37,6 +36,9 @@ from .rep import (
     cokernel_of,
     module_arrays,
     module_from_arrays,
+    record_split,
+    sum_maps,
+    sum_rep,
     zero_rep,
 )
 
@@ -63,21 +65,43 @@ def proj(alg: Algebra, v: int) -> Rep:
     return Rep(alg, dims, maps, name=f"P{v}")
 
 
+@memoized
 def inj(alg: Algebra, v: int) -> Rep:
-    """The indecomposable injective at v: the dual of the opposite projective."""
+    """The indecomposable injective at v: the dual of the opposite projective,
+    memoized (memo.memoized) on the algebra."""
     m = dual(proj(alg.opposite(), v))
     m.name = f"I{v}"
     return m
+
+
+def _split_sum(alg: Algebra, parts: list) -> Rep:
+    """The direct sum of parts, keeping its coordinate split (`record_split`,
+    lazily: its maps are built when a Hom space first reads them): Hom
+    into and out of it is read off the parts' Hom spaces."""
+    if not parts:
+        return zero_rep(alg)
+    total = sum_rep(parts)
+    record_split(total, lambda: list(zip(parts, *sum_maps(parts, total))), lazy=True)
+    return total
 
 
 @memoized
 def _proj_sum_rep(alg: Algebra, vertices: tuple) -> Rep:
     """The sum of proj(alg, w) over vertices, memoized (memo.memoized) on the
     algebra: presentations with the same P0 share one module, and with it
-    its Hom memos."""
-    if not vertices:
-        return zero_rep(alg)
-    return direct_sum([proj(alg, w) for w in vertices])[0]
+    its Hom memos.  It keeps its coordinate split into the proj(alg, w)
+    (`_split_sum`), so Hom(P0, N) and Hom(N, P0) are read off Hom(P_w, N)
+    and Hom(N, P_w), each solved once per content of N, whatever the
+    multiplicities."""
+    return _split_sum(alg, [proj(alg, w) for w in vertices])
+
+
+@memoized
+def _inj_sum_rep(alg: Algebra, vertices: tuple) -> Rep:
+    """The sum of inj(alg, w) over vertices, memoized on the algebra and
+    split into its summands as `_proj_sum_rep` is: the injective
+    envelopes."""
+    return _split_sum(alg, [inj(alg, w) for w in vertices])
 
 
 @dataclass(eq=False)
@@ -183,8 +207,13 @@ class PathCoeffMap:
 
 
 def nakayama_of_projmap(d: PathCoeffMap) -> RepMap:
-    """nu on morphisms: dualize the starred map.  Covariant."""
-    return dual_map(d.star().to_repmap())
+    """nu on morphisms: dualize the starred map.  Covariant.  nu(P_w) is
+    I_w, so the map runs between the shared sums of injectives
+    (`_inj_sum_rep`), whose Hom spaces are read off their summands."""
+    alg = d.source.algebra
+    blocks = tuple(b.T.copy() for b in d.star().to_repmap().blocks)
+    source, target = (_inj_sum_rep(alg, ps.vertices) for ps in (d.source, d.target))
+    return RepMap(source, target, blocks, check=False)
 
 
 # -- radical and top --------------------------------------------------------
@@ -269,14 +298,14 @@ def _envelope_on(envelope: tuple, m: Rep) -> tuple:
 
 @memoized(rebind=_envelope_on)
 def injective_envelope(m: Rep) -> tuple:
-    """(InjSum given as (vertices, rep), mono m -> injective).
-
-    Constructed as the dual of the projective cover of the dual module.
-    Memoized (memo.memoized) on the module.
+    """(InjSum, mono m -> InjSum.rep): the dual of the projective cover of
+    the dual module.  The envelope is the shared sum of the inj(alg, w)
+    (`_inj_sum_rep`), of the content the dual of the cover's sum would
+    have, so Hom into and out of it is read off its summands.  Memoized
+    (memo.memoized) on the module.
     """
-    dm = dual(m)
-    ps, cover = projective_cover(dm)
-    irep = dual(ps.rep)
+    ps, cover = projective_cover(dual(m))
+    irep = _inj_sum_rep(m.algebra, ps.vertices)
     mono = RepMap(m, irep, tuple(b.T.copy() for b in cover.blocks), check=True)
     if not mono.is_injective():
         raise RuntimeError("injective envelope failed to embed")

@@ -47,8 +47,13 @@ x_j -> X and proj_j: X -> x_j, the incl_j . proj_j summing to the
 identity), it keeps that split in the memo of X's twin (`remember`, under
 `rep.record_split`).  Hom(M, X) is then the span of incl_j . Hom(M, x_j)
 and Hom(X, N) that of Hom(x_j, N) . proj_j, so `rep.hom_basis` reads both
-off the members' spaces instead of solving X's system.  The split lives
-and dies with the twin, like every other answer kept there.
+off the members' spaces instead of solving X's system.  Each sum of
+indecomposable projectives or injectives that `homological` shares (the
+P0 of a presentation, an injective envelope) keeps its coordinate split
+the same way, so Hom into or out of it is read off the Hom spaces of its
+few distinct summands.  Most of those sums are never read, so their splits
+are kept lazily (`remember(..., lazy=True)`): made on the first `kept`.
+The split lives and dies with the twin, like every other answer kept there.
 """
 
 from __future__ import annotations
@@ -87,21 +92,37 @@ def memoized(fn=None, *, rebind=None):
     return wrapper
 
 
-def remember(fn, make, obj, *args) -> None:
+class _Unmade:
+    """An answer kept by `remember(..., lazy=True)`: make() runs when `kept`
+    first reads it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def remember(fn, make, obj, *args, lazy: bool = False) -> None:
     """Keep make() as the answer of the memoized fn(obj, *args), unless one
-    is kept already.  fn is the function as written, before `memoized`
-    wrapped it: the caller captures it (`__wrapped__`) when its module is
-    imported, so a wrapper rebound over the module global later (a tracer)
-    does not change the key."""
+    is kept already; with lazy, keep make itself and call it when the
+    answer is first read (`kept`).  fn is the function as written, before
+    `memoized` wrapped it: the caller captures it (`__wrapped__`) when its
+    module is imported, so a wrapper rebound over the module global later
+    (a tracer) does not change the key."""
     key = _key(fn, args)
     if key not in obj._memo:
-        obj._memo[key] = make()
+        obj._memo[key] = _Unmade(make) if lazy else make()
 
 
 def kept(fn, obj, *args):
     """The answer of the memoized fn(obj, *args) if obj keeps one, else
-    None; fn as for `remember`.  Nothing is computed."""
-    return obj._memo.get(_key(fn, args))
+    None; fn as for `remember`.  Nothing is computed but an answer kept
+    lazily, on its first read."""
+    key = _key(fn, args)
+    answer = obj._memo.get(key)
+    if isinstance(answer, _Unmade):
+        answer = obj._memo[key] = answer.make()
+    return answer
 
 
 def table(alg, key, compute, to_arrays, from_arrays):

@@ -157,13 +157,13 @@ class RepMap:
     check: bool = True
 
     def __post_init__(self):
-        if self.source.algebra is not self.target.algebra:
+        alg = self.source.algebra
+        if self.target.algebra is not alg:
             raise AlgebraMismatch("source and target live over different algebras")
-        p = self.p
+        p = alg.p
         blocks = []
-        for v in range(1, self.source.algebra.quiver.n + 1):
+        for v, want in enumerate(zip(self.target.dims, self.source.dims), 1):
             b = linalg.as_matrix(self.blocks[v - 1], p)
-            want = (self.target.dim_at(v), self.source.dim_at(v))
             if b.shape != want:
                 raise ValueError(f"block at vertex {v} has shape {b.shape}, want {want}")
             b.setflags(write=False)
@@ -307,6 +307,13 @@ class HomSpace:
             for j in range(self.dim)
         ]
 
+    def basis_map(self, j: int) -> RepMap:
+        """Basis map j, built alone unless `basis` has been read."""
+        built = self.__dict__.get("basis")
+        if built is not None:
+            return built[j]
+        return map_from_flat(self.source, self.target, self.flat_matrix[:, j])
+
     @functools.cached_property
     def _rows(self) -> np.ndarray:
         """The free position of each basis map: its last nonzero entry."""
@@ -318,11 +325,16 @@ class HomSpace:
             raise RuntimeError("hom basis is not in kernel_basis normal form")
         return rows
 
+    @functools.cached_property
+    def _starts(self) -> list:
+        """The row of flat_matrix where the blocks of each vertex start, and
+        the row count last."""
+        sizes = (t * s for t, s in zip(self.target.dims, self.source.dims))
+        return list(itertools.accumulate(sizes, initial=0))
+
     def _rows_at(self, v: int) -> np.ndarray:
         """The rows of flat_matrix that hold the blocks at vertex v."""
-        sizes = [t * s for t, s in zip(self.target.dims, self.source.dims)]
-        start = sum(sizes[: v - 1])
-        return self.flat_matrix[start : start + sizes[v - 1]]
+        return self.flat_matrix[self._starts[v - 1] : self._starts[v]]
 
     def blocks(self, v: int) -> np.ndarray:
         """The blocks at vertex v of the basis maps, stacked: (dim, t_v, s_v),
@@ -441,13 +453,19 @@ def _dual_hom(m: Rep, n: Rep):
     return _normal_form(hs.flat_matrix[np.concatenate(order)].T, m.p)
 
 
-def record_split(m: Rep, make) -> None:
+def record_split(m: Rep, make, lazy: bool = False) -> None:
     """Keep a split of m in the memo of m's twin (`memo.remember`), unless
     the twin keeps one already: make() gives parts = [(x, incl: x -> m,
     proj: m -> x)] with the incl . proj summing to the identity of m, and
-    the maps are kept re-anchored on the twin.  hom_basis then reads Hom
+    the maps are kept anchored on the twin.  hom_basis then reads Hom
     spaces into and out of that content off those of the parts
     (`_split_hom`).  Raises ValueError unless the sum is the identity.
+
+    Two kinds of split are kept: an AR verification's split of a term into
+    members, made and checked now, and the coordinate split of a shared
+    sum of indecomposable projectives or injectives (`homological`), kept
+    with lazy: make() runs, and is checked, when the split is first read,
+    since many such sums are never read.
 
     No split is kept for the zero module, nor for a module equal to one of
     its parts: its twin may be that part, whose Hom spaces would then be
@@ -466,13 +484,13 @@ def record_split(m: Rep, make) -> None:
         return tuple(
             (
                 x,
-                RepMap(x, twin, i.blocks, check=False),
-                RepMap(twin, x, q.blocks, check=False),
+                i if i.target is twin else RepMap(x, twin, i.blocks, check=False),
+                q if q.source is twin else RepMap(twin, x, q.blocks, check=False),
             )
             for x, i, q in parts
         )
 
-    remember(_SPLIT, checked, twin)
+    remember(_SPLIT, checked, twin, lazy=lazy)
 
 
 # record_split as written, captured at import: the key of the kept splits
@@ -495,8 +513,15 @@ def _split_hom(m: Rep, n: Rep):
     Hom is additive: Hom(m, sum x_j) is the span of incl_j . Hom(m, x_j),
     and Hom(sum x_j, n) that of Hom(x_j, n) . proj_j.  One product per
     vertex over each part's basis (`HomSpace.after`, `before`) gives a
-    spanning set, and its `_normal_form` is the one basis hom_basis(m, n)
-    would solve for.
+    basis, and its normal form is the one hom_basis(m, n) would solve for.
+
+    A coordinate split (a direct_sum's) sends flat positions to flat
+    positions in increasing order, and its parts to disjoint positions, so
+    each part's basis keeps its normal form and the stacked columns,
+    sorted by their last nonzero entry, are the identity on those rows:
+    that is the normal form already, and no rref is run.  Any other split
+    (through isomorphisms, as an AR verification's) goes through
+    `_normal_form`.
     """
     parts = _kept_split(n)
     if parts is not None:
@@ -506,7 +531,15 @@ def _split_hom(m: Rep, n: Rep):
         if parts is None:
             return None
         spans = [hom_basis(x, n).before(proj) for x, _, proj in parts]
-    return _normal_form(np.hstack(spans).T, m.p)
+    span = np.hstack(spans)
+    if not span.size:
+        return span
+    last = span.shape[0] - 1 - np.argmax(span[::-1] != 0, axis=0)
+    order = np.argsort(last, kind="stable")
+    span, last = span[:, order], last[order]
+    if np.array_equal(span[last], linalg.eye(len(last))):
+        return np.ascontiguousarray(span)
+    return _normal_form(span.T, m.p)
 
 
 @memoized(rebind=_hom_on)
@@ -528,8 +561,11 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
 
     Otherwise, when a split of n or of m into parts is kept
     (`record_split`: an AR verification keeps each term it has written as a
-    direct sum of members), the space is read off the parts' Hom spaces
-    (`_split_hom`), again in the one normal form.
+    direct sum of members, and each shared sum of indecomposable
+    projectives or injectives keeps its coordinate split), the space is
+    read off the parts' Hom spaces (`_split_hom`), again in the one normal
+    form: Hom(P0, N) off the Hom(P_w, N), each solved once per content of
+    N, and Hom(I, N) of an injective envelope off the Hom(I_v, N).
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
@@ -599,6 +635,12 @@ def dual_map(f: RepMap) -> RepMap:
 def direct_sum(ms) -> tuple:
     """Block-diagonal sum. Returns (rep, injections, projections)."""
     ms = list(ms)
+    total = sum_rep(ms)
+    return (total, *sum_maps(ms, total))
+
+
+def sum_rep(ms: list) -> Rep:
+    """The module of direct_sum(ms), without its maps."""
     if not ms:
         raise ValueError("direct_sum of nothing needs an algebra; use zero_rep")
     alg = ms[0].algebra
@@ -616,22 +658,20 @@ def direct_sum(ms) -> tuple:
             ro += b.shape[0]
             co += b.shape[1]
         maps[a.name] = out
-    total = Rep(alg, dims, maps)
+    return Rep(alg, dims, maps)
+
+
+def sum_maps(ms: list, total: Rep) -> tuple:
+    """The (injections, projections) of total = sum_rep(ms), summand by
+    summand."""
+    eyes = [linalg.eye(d) for d in total.dims]
+    offsets = np.cumsum([[0] * len(eyes)] + [m.dims for m in ms], axis=0)
     injections, projections = [], []
-    offs = [0] * n
-    for m in ms:
-        inj_blocks, proj_blocks = [], []
-        for i in range(n):
-            e = linalg.zeros(dims[i], m.dims[i])
-            if m.dims[i]:
-                e[offs[i] : offs[i] + m.dims[i], :] = linalg.eye(m.dims[i])
-            inj_blocks.append(e)
-            proj_blocks.append(e.T.copy())
-        injections.append(RepMap(m, total, tuple(inj_blocks), check=False))
-        projections.append(RepMap(total, m, tuple(proj_blocks), check=False))
-        for i in range(n):
-            offs[i] += m.dims[i]
-    return total, injections, projections
+    for m, offs in zip(ms, offsets):
+        at = [slice(o, o + d) for o, d in zip(offs, m.dims)]
+        injections.append(RepMap(m, total, tuple(e[:, s] for e, s in zip(eyes, at)), check=False))
+        projections.append(RepMap(total, m, tuple(e[s] for e, s in zip(eyes, at)), check=False))
+    return injections, projections
 
 
 def _induced_arrow(sub_t, sub_s, big_map, p):
@@ -791,9 +831,12 @@ class EndAlgebra:
             powers.append(nxt)
 
     def quotient_commutative(self) -> bool:
-        b = self.basis
+        """Whether End(M)/rad is commutative: the basis maps at the quotient
+        indices commute modulo rad, pair by pair.  Only the maps a pair
+        reads are built, each once."""
+        b = functools.cache(self._hs.basis_map)
         return all(
-            self.quotient.contains(self.coords(b[i].compose(b[j]) - b[j].compose(b[i])))
+            self.quotient.contains(self.coords(b(i).compose(b(j)) - b(j).compose(b(i))))
             for i, j in itertools.combinations(self.quotient.indices, 2)
         )
 
@@ -804,7 +847,7 @@ class EndAlgebra:
             RepMap(
                 self.module,
                 self.module,
-                tuple(linalg.matrix_power(b, p, p) for b in self.basis[i].blocks),
+                tuple(linalg.matrix_power(b, p, p) for b in self._hs.basis_map(i).blocks),
                 check=False,
             )
             for i in self.quotient.indices

@@ -286,3 +286,35 @@ def test_indecomposable_verdicts_match_full_path(p):
         assert _verdict(is_indecomposable, m) == want, m
         verdicts.append(want)
     assert {True, False} <= set(verdicts)
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_quotient_checks_build_only_the_maps_they_read(p):
+    # quotient_commutative and frobenius_matrix read the basis maps at the
+    # quotient indices only; the oracle is the same formula over the whole
+    # basis, built after them
+    mods = [m for m in _corpus_modules(p) if not m.is_zero]
+    for seed in (1, 2):
+        mods += _hidden_sums(p, seed, copies=2)
+    kron = corpus.kronecker(p)
+    mods.append(hidden_sum([simple(kron, 1), simple(kron, 2)], random.Random(p)))
+    verdicts = set()
+    for m in mods:
+        end = EndAlgebra(m)
+        if p <= end.dim or end.quotient.dim < 2:
+            continue
+        commutative = end.quotient_commutative()
+        fr = end.frobenius_matrix()
+        assert "basis" not in vars(end._hs)
+        b = end.basis
+        assert commutative == all(
+            end.quotient.contains(end.coords(b[i].compose(b[j]) - b[j].compose(b[i])))
+            for i, j in itertools.combinations(end.quotient.indices, 2)
+        )
+        powered = [
+            rep.RepMap(m, m, tuple(linalg.matrix_power(x, p, p) for x in b[i].blocks))
+            for i in end.quotient.indices
+        ]
+        assert np.array_equal(fr, end.quotient.to_coords(end._hs.coords_of(powered)))
+        verdicts.add(commutative)
+    assert verdicts == {True, False}
