@@ -5,7 +5,7 @@ executes them in order, threading the sequences found by the theorem
 harnesses (criteria 5 and 6) into the duality criterion (7).  The CLI verb
 `accept` and tests/test_acceptance.py both call straight into this module.
 The suite builds its corpus once per seed (`_corpus`), so the criteria of
-one run share its knit tables, projectives and module memos, and keeps only
+one run share its knit tables, projectives and memoized answers, and keeps only
 the latest seed's corpus alive.
 """
 

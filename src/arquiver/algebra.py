@@ -15,7 +15,6 @@ Non-admissible input runs into the hard length cap and raises.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,8 +155,6 @@ class Algebra:
         self.p = p
         self._op: "Algebra | None" = None
         self._memo: dict = {}
-        # module content -> the first live module with it (memo.memoized)
-        self._twins = weakref.WeakValueDictionary()
         self._build()
 
     # -- construction -------------------------------------------------

@@ -150,7 +150,7 @@ def verify_ar_sequence(s: SES, sub: Subcat, seed: int = DEFAULT_SEED) -> ARRepor
 
     The membership test matches each summand of a term with a member
     (`approx.member_matches`), and a term that passes keeps the split into
-    members this gives (`approx.member_split`) in the memo of its twin
+    members this gives (`approx.member_split`) under its content
     (`rep.record_split`).  The almost-split checks then read Hom(T, B),
     Hom(B, T), Hom(T, C) and the like off the members' own Hom spaces
     (`rep.hom_basis`), bit for bit the spaces a solve would give.

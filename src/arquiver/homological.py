@@ -88,8 +88,8 @@ def _split_sum(alg: Algebra, parts: list) -> Rep:
 @memoized
 def _proj_sum_rep(alg: Algebra, vertices: tuple) -> Rep:
     """The sum of proj(alg, w) over vertices, memoized (memo.memoized) on the
-    algebra: presentations with the same P0 share one module, and with it
-    its Hom memos.  It keeps its coordinate split into the proj(alg, w)
+    algebra: presentations with the same P0 share one module, built and
+    split once.  It keeps its coordinate split into the proj(alg, w)
     (`_split_sum`), so Hom(P0, N) and Hom(N, P0) are read off Hom(P_w, N)
     and Hom(N, P_w), each solved once per content of N, whatever the
     multiplicities."""
@@ -251,8 +251,8 @@ def top_generators(m: Rep) -> list:
 
 
 def _cover_on(cover: tuple, m: Rep) -> tuple:
-    """The projective cover of a twin of m as a cover of m: the same
-    ProjSum, its surjection re-targeted."""
+    """The projective cover of a module of m's content as a cover of m:
+    the same ProjSum, its surjection re-targeted."""
     ps, aug = cover
     return ps, RepMap(aug.source, m, aug.blocks, check=False)
 
@@ -261,7 +261,7 @@ def _cover_on(cover: tuple, m: Rep) -> tuple:
 def projective_cover(m: Rep) -> tuple:
     """(ProjSum, surjection onto m) with one summand per top generator.
 
-    Memoized (memo.memoized) on the module: covers are requested repeatedly
+    Memoized (memo.memoized) by content: covers are requested repeatedly
     by the stable and approximation layers.
     """
     alg = m.algebra
@@ -290,8 +290,8 @@ def projective_cover(m: Rep) -> tuple:
 
 
 def _envelope_on(envelope: tuple, m: Rep) -> tuple:
-    """The injective envelope of a twin of m as an envelope of m: the same
-    InjSum, its mono re-sourced."""
+    """The injective envelope of a module of m's content as an envelope of
+    m: the same InjSum, its mono re-sourced."""
     isum, mono = envelope
     return isum, RepMap(m, mono.target, mono.blocks, check=False)
 
@@ -302,7 +302,7 @@ def injective_envelope(m: Rep) -> tuple:
     the dual module.  The envelope is the shared sum of the inj(alg, w)
     (`_inj_sum_rep`), of the content the dual of the cover's sum would
     have, so Hom into and out of it is read off its summands.  Memoized
-    (memo.memoized) on the module.
+    (memo.memoized) by content.
     """
     ps, cover = projective_cover(dual(m))
     irep = _inj_sum_rep(m.algebra, ps.vertices)
@@ -405,8 +405,8 @@ class DtrData:
 @memoized(rebind=lambda data, m: replace(data, module=m, pres=min_presentation(m)))
 def dtr_data(m: Rep) -> DtrData:
     """The presentation of m, nu d1 and DTr M = ker(nu d1), memoized
-    (memo.memoized) on the module.  Twin modules share one DTr M, and with
-    it its own memo."""
+    (memo.memoized) by content: modules equal entry for entry share one
+    DTr M."""
     pres = min_presentation(m)
     nu_d1 = nakayama_of_projmap(pres.d1)
     ker, incl = kernel_of(nu_d1)

@@ -20,7 +20,7 @@ from . import linalg
 from .algebra import Algebra
 from .fpoly import factor_mod as _factor_mod  # a module global, so it can be wrapped
 from .linalg import matmul
-from .memo import kept, memoized, remember, table
+from .memo import key_of, kept, memoized, private, remember, table
 
 DEFAULT_SEED = 1
 
@@ -49,7 +49,6 @@ class Rep:
     dims: tuple
     maps: dict  # arrow name -> matrix, shape dim_target x dim_source
     name: str = ""
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         alg = self.algebra
@@ -118,12 +117,6 @@ class Rep:
         """content_key of dual(self): the maps transposed, over the opposite
         algebra."""
         return self.dims, b"".join(b.T.tobytes() for b in self.maps.values())
-
-    @property
-    def twin(self) -> "Rep":
-        """The first live module over this algebra with this content:
-        self when no other is alive (memo.memoized)."""
-        return self.algebra._twins.setdefault(self.content_key, self)
 
     def equal(self, other: "Rep") -> bool:
         return (
@@ -386,8 +379,11 @@ class HomSpace:
 
 
 def _hom_on(hs: HomSpace, m: Rep, n: Rep) -> HomSpace:
-    """hs, a Hom space between twins of m and n, as Hom(m, n): the same
-    matrix."""
+    """hs, a Hom space between modules of the contents of m and n, as
+    Hom(m, n): the same matrix.  Contents name no algebra, so a kept space
+    is never handed to modules over two algebras."""
+    if m.algebra is not n.algebra:
+        raise AlgebraMismatch("modules live over different algebras")
     return HomSpace(m, n, hs.flat_matrix)
 
 
@@ -429,9 +425,9 @@ def _hom_system(m: Rep, n: Rep) -> np.ndarray:
 
 
 def _dual_hom(m: Rep, n: Rep):
-    """Hom(m, n) read off Hom(D n, D m) over the opposite algebra, when the
-    twins of D n and D m are alive and that space is solved already; else
-    None.
+    """Hom(m, n) read off Hom(D n, D m) over the opposite algebra, when that
+    space is kept in the opposite algebra's memo, under the dual contents
+    of n and m; else None.
 
     f -> D f transposes every block, so the dual space's basis maps,
     transposed, span Hom(m, n): on the flat matrix that permutes the rows
@@ -440,9 +436,7 @@ def _dual_hom(m: Rep, n: Rep):
     op = m.algebra._op
     if op is None:
         return None
-    dm = op._twins.get(m.dual_content_key)
-    dn = op._twins.get(n.dual_content_key)
-    hs = None if dm is None or dn is None else kept(_solve_hom, dn, dm)
+    hs = kept(op, (_solve_hom, n.dual_content_key, m.dual_content_key))
     if hs is None:
         return None
     order, start = [], 0
@@ -454,12 +448,13 @@ def _dual_hom(m: Rep, n: Rep):
 
 
 def record_split(m: Rep, make, lazy: bool = False) -> None:
-    """Keep a split of m in the memo of m's twin (`memo.remember`), unless
-    the twin keeps one already: make() gives parts = [(x, incl: x -> m,
-    proj: m -> x)] with the incl . proj summing to the identity of m, and
-    the maps are kept anchored on the twin.  hom_basis then reads Hom
-    spaces into and out of that content off those of the parts
-    (`_split_hom`).  Raises ValueError unless the sum is the identity.
+    """Keep a split of m under m's content (`memo.remember`), unless one
+    is kept already: make() gives parts = [(x, incl: x -> m, proj: m -> x)]
+    with the incl . proj summing to the identity of m, and the maps are
+    kept anchored on the algebra's own modules of those contents
+    (`memo.private`).  hom_basis then reads Hom spaces into and out of
+    that content off those of the parts (`_split_hom`).  Raises ValueError
+    unless the sum is the identity.
 
     Two kinds of split are kept: an AR verification's split of a term into
     members, made and checked now, and the coordinate split of a shared
@@ -468,29 +463,27 @@ def record_split(m: Rep, make, lazy: bool = False) -> None:
     since many such sums are never read.
 
     No split is kept for the zero module, nor for a module equal to one of
-    its parts: its twin may be that part, whose Hom spaces would then be
-    read off themselves."""
-    twin = m.twin
+    its parts: the Hom spaces of that part would be read off themselves."""
+    own = private(m)
 
     def checked():
         parts = make()
-        for v, d in enumerate(m.dims, 1):
+        for v, d in enumerate(own.dims, 1):
             incls = np.hstack([linalg.zeros(d, 0)] + [i.block(v) for _, i, _ in parts])
             projs = np.vstack([linalg.zeros(0, d)] + [q.block(v) for _, _, q in parts])
-            if not np.array_equal(matmul(incls, projs, m.p), linalg.eye(d)):
+            if not np.array_equal(matmul(incls, projs, own.p), linalg.eye(d)):
                 raise ValueError("split maps do not sum to the identity")
-        if m.is_zero or any(x.content_key == m.content_key for x, _, _ in parts):
+        if own.is_zero or any(x.content_key == own.content_key for x, _, _ in parts):
             return None
-        return tuple(
-            (
-                x,
-                i if i.target is twin else RepMap(x, twin, i.blocks, check=False),
-                q if q.source is twin else RepMap(twin, x, q.blocks, check=False),
+        anchored = []
+        for x, i, q in parts:
+            x = private(x)
+            anchored.append(
+                (x, RepMap(x, own, i.blocks, check=False), RepMap(own, x, q.blocks, check=False))
             )
-            for x, i, q in parts
-        )
+        return tuple(anchored)
 
-    remember(_SPLIT, checked, twin, lazy=lazy)
+    remember(m.algebra, key_of(_SPLIT, m), checked, lazy=lazy)
 
 
 # record_split as written, captured at import: the key of the kept splits
@@ -500,8 +493,9 @@ _SPLIT = record_split
 def _kept_split(m: Rep):
     """The split kept for m's content, unless one of its parts keeps a
     split too: a chain of splits could lead back to m."""
-    parts = kept(_SPLIT, m.twin)
-    if parts is None or any(kept(_SPLIT, x.twin) is not None for x, _, _ in parts):
+    alg = m.algebra
+    parts = kept(alg, key_of(_SPLIT, m))
+    if parts is None or any(kept(alg, key_of(_SPLIT, x)) is not None for x, _, _ in parts):
         return None
     return parts
 
@@ -547,17 +541,15 @@ def hom_basis(m: Rep, n: Rep) -> HomSpace:
     """Hom(m, n): the kernel of its commuting conditions (`_hom_system`),
     basis in kernel_basis order.
 
-    Memoized (memo.memoized) on the source module, keyed by the target,
-    since verification sweeps ask for the same pair many times; twin
-    modules share one solve.
+    Memoized (memo.memoized) on the algebra, keyed by the contents of m
+    and n, since verification sweeps ask for the same pair many times:
+    modules equal entry for entry share one solve.
 
-    When Hom(D n, D m) over the opposite algebra is solved already, on the
-    live twins of D n and D m, the space is read off it instead
-    (`_dual_hom`): Hom_L(M, N) ~ Hom_Lop(DN, DM) by transposing every
-    block, and one rref brings the transposed basis to normal form.  A
-    subspace has one basis in that form, so the answer is the one the
-    solve would give, bit for bit; a dual twin already freed only means
-    the system is solved.
+    When Hom(D n, D m) over the opposite algebra is kept already, the
+    space is read off it instead (`_dual_hom`): Hom_L(M, N) ~
+    Hom_Lop(DN, DM) by transposing every block, and one rref brings the
+    transposed basis to normal form.  A subspace has one basis in that
+    form, so the answer is the one the solve would give, bit for bit.
 
     Otherwise, when a split of n or of m into parts is kept
     (`record_split`: an AR verification keeps each term it has written as a
@@ -856,8 +848,8 @@ class EndAlgebra:
 
 
 def _end_on(end: EndAlgebra, m: Rep) -> EndAlgebra:
-    """end, the End algebra of a twin of m, as End(m): its Hom space
-    rebound, the gram, radical and quotient shared."""
+    """end, the End algebra of a module of m's content, as End(m): its Hom
+    space rebound, the gram, radical and quotient shared."""
     out = copy.copy(end)
     out.module = m
     out._hs = hom_basis(m, m)
@@ -866,7 +858,7 @@ def _end_on(end: EndAlgebra, m: Rep) -> EndAlgebra:
 
 @memoized(rebind=_end_on)
 def end_algebra(m: Rep) -> EndAlgebra:
-    """End(M), memoized (memo.memoized) on the module: the Hom(M, M) basis
+    """End(M), memoized (memo.memoized) by content: the Hom(M, M) basis
     is the bulk of every indecomposability check."""
     return EndAlgebra(m)
 
@@ -905,7 +897,7 @@ EXHAUSTIVE_END_LIMIT = 1 << 16
 @memoized(rebind=lambda answer, m: answer)
 def is_indecomposable(m: Rep) -> bool:
     """Certify indecomposability via End(M)/rad; memoized (memo.memoized)
-    on the module.
+    by content.
 
     Large p (p > dim End): radical of the trace form, then E/rad must be
     F_p itself, or commutative with a 1-dimensional Frobenius fixed space.
@@ -1075,7 +1067,8 @@ def _split_indecomposables(m: Rep, rng: random.Random):
     """Full Fitting splitting: list of (indec rep, incl into m, proj from m).
 
     Each piece's End, read off End(m) (`_corner_end`), is kept as its
-    hom_basis before the piece is tested."""
+    hom_basis, anchored on the algebra's own module of the piece's content
+    (`memo.private`), before the piece is tested."""
     if m.is_zero:
         return []
     if is_indecomposable(m):
@@ -1087,14 +1080,9 @@ def _split_indecomposables(m: Rep, rng: random.Random):
     end = end_algebra(m)
     out = []
     for (sub, incl), proj in zip(pieces, split_projections(m, pieces)):
-        twin = sub.twin
-        remember(_solve_hom, lambda: _corner_end(end, twin, incl, proj), twin, twin)
+        end_key = key_of(_solve_hom, sub, sub)
+        remember(m.algebra, end_key, lambda: _corner_end(end, private(sub), incl, proj))
         split = _split_indecomposables(sub, rng)
-        if len(split) > 1:
-            # sub gives way to its summands; its memoized End and Hom
-            # spaces refer back to it, so free them now, not at the next
-            # cyclic garbage collection
-            sub._memo.clear()
         for piece, sub_incl, sub_proj in split:
             out.append(
                 (piece, incl.compose(sub_incl), sub_proj.compose(proj))

@@ -187,9 +187,10 @@ def test_the_tables_hold_only_arrays(modules):
 def test_no_realized_middle_term_outlives_its_caller(modules):
     m, n, q = next((m, n, q) for m, n, q in _ext_cases(modules) if q.any())
     first = realize_extension(ext1(m, n), q)
-    again = realize_extension(ext1(_fresh(m), _fresh(n)), q)
-    refs = [weakref.ref(first.middle), weakref.ref(again.middle)]
-    del first, again
+    m2, n2 = _fresh(m), _fresh(n)
+    again = realize_extension(ext1(m2, n2), q)
+    refs = [weakref.ref(x) for x in (first.middle, again.middle, m2, n2)]
+    del first, again, m2, n2
     gc.collect()
     assert all(r() is None for r in refs)
 

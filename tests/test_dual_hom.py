@@ -106,7 +106,9 @@ def test_the_route_runs_both_ways(monkeypatch):
     assert np.array_equal(hs.flat_matrix, solved(dn, dm))
 
 
-def test_freed_dual_twins_mean_a_solve(monkeypatch):
+def test_a_dual_space_stays_served_after_its_dual_modules_are_dropped(monkeypatch):
+    # the space is kept on the opposite algebra under the dual contents, so
+    # it outlives the modules it was asked about
     m, n = _modules("kronecker", 32003, seed=3)[-2:]
     dm, dn = dual(m), dual(n)
     hom_basis(dn, dm)
@@ -114,10 +116,10 @@ def test_freed_dual_twins_mean_a_solve(monkeypatch):
     del dm, dn
     gc.collect()
     assert gone() is None
-    assert rep._dual_hom(m, n) is None
     calls = _count_solves(monkeypatch)
+    assert rep._dual_hom(m, n) is not None
     hs = hom_basis(m, n)
-    assert len(calls) == 1
+    assert calls == []
     assert np.array_equal(hs.flat_matrix, solved(m, n))
 
 
@@ -131,7 +133,7 @@ def test_a_served_space_keeps_no_dual_module_alive():
     del dm, dn
     gc.collect()
     assert [r() for r in refs] == [None, None]
-    assert hom_basis(m, n) is hs
+    assert hom_basis(m, n).flat_matrix is hs.flat_matrix
 
 
 def test_no_opposite_algebra_means_no_dual_lookup():

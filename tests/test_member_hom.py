@@ -23,7 +23,7 @@ from arquiver.approx import Subcat, member_matches, member_split
 from arquiver.arseq import ar_sequence_global, verify_ar_sequence
 from arquiver.homological import SES
 from arquiver.knit import enumerate_indec
-from arquiver.memo import kept
+from arquiver.memo import key_of, kept
 from arquiver.rep import (
     HomSpace,
     Rep,
@@ -68,19 +68,23 @@ def _splittable(parts, p: int) -> bool:
     return p > e or p**e <= rep.EXHAUSTIVE_END_LIMIT
 
 
+def _kept_split(m: Rep):
+    """The split kept under m's content, or None."""
+    return kept(m.algebra, key_of(rep._SPLIT, m))
+
+
 def _split_modules(name: str, p: int, seed: int) -> tuple:
-    """(members, modules, twins): the indecomposables of `_indecomposables`
-    over a new copy of the algebra; three seeded hidden sums of two or
-    three of them that `decompose` can split, the first with a repeated
-    part and the others led by a part on which some arrow acts by a
-    nonzero map; and the twins of the sums, which keep their splits into
-    members (a sum of simples shares its content with other modules)."""
+    """(members, modules): the indecomposables of `_indecomposables` over a
+    new copy of the algebra, and three seeded hidden sums of two or three
+    of them that `decompose` can split, the first with a repeated part and
+    the others led by a part on which some arrow acts by a nonzero map.
+    Each sum keeps its split into members under its content."""
     alg = ALGEBRAS[name](p)
     rng = random.Random(seed)
     members = _indecomposables(alg)
     acting = [x for x in members if any(b.any() for b in x.maps.values())]
     sub = Subcat(alg, "finite", members)
-    mods, twins = [], []
+    mods = []
     while len(mods) < 3:
         parts = [rng.choice(acting if mods else members)]
         parts += [rng.choice(members) for _ in range(rng.randint(1, 2))]
@@ -89,20 +93,19 @@ def _split_modules(name: str, p: int, seed: int) -> tuple:
         if not _splittable(parts, p):
             continue
         m = hidden_sum(parts, rng)
-        twins.append(m.twin)
         record_split(m, lambda: _split(sub, m, seed))
         mods.append(m)
-    return members, mods, twins
+    return members, mods
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_transported_hom_is_the_solved_one(name, p):
-    members, mods, twins = _split_modules(name, p, seed=p)
-    splits = [kept(rep._SPLIT, t) for t in twins]
+    members, mods = _split_modules(name, p, seed=p)
+    splits = [_kept_split(m) for m in mods]
     assert all(s is not None for s in splits)
     # the repeated part is split off twice, through two different pieces
-    assert len(splits[0]) > len({id(x) for x, _, _ in splits[0]})
+    assert len(splits[0]) > len({x.content_key for x, _, _ in splits[0]})
     dims = []
     for m in members + mods:
         for n in members + mods:
@@ -139,7 +142,7 @@ def test_copies_of_one_summand_meet_their_member_through_their_own_pieces():
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_no_system_is_solved_for_a_transported_pair(monkeypatch, name):
-    members, mods, _ = _split_modules(name, 32003, seed=1)
+    members, mods = _split_modules(name, 32003, seed=1)
     for x in members:
         for y in members:
             hom_basis(x, y)
@@ -165,22 +168,22 @@ def test_a_split_that_does_not_sum_to_the_identity_raises():
         record_split(m, lambda: doubled)
     with pytest.raises(ValueError, match="identity"):
         record_split(m, lambda: parts[:1])
-    assert kept(rep._SPLIT, m) is None
+    assert _kept_split(m) is None
     record_split(m, lambda: parts)
-    assert kept(rep._SPLIT, m) is not None
+    assert _kept_split(m) is not None
 
 
 def test_a_module_equal_to_one_of_its_parts_keeps_no_split():
     alg = corpus.kronecker(7)
     x = enumerate_indec(alg, cap=4).members[0]
     same = _fresh(x)
-    assert same.twin is x
+    assert same.content_key == x.content_key
     ident = identity_map(x)
     to_same = RepMap(x, same, ident.blocks, check=False)
     from_same = RepMap(same, x, ident.blocks, check=False)
     record_split(same, lambda: [(x, to_same, from_same)])
     record_split(x, lambda: [(x, ident, ident)])
-    assert kept(rep._SPLIT, x) is None
+    assert _kept_split(x) is None
     assert rep._split_hom(x, same) is None
     assert np.array_equal(hom_basis(x, same).flat_matrix, solved(x, x))
 
@@ -196,7 +199,7 @@ def test_a_part_with_a_split_of_its_own_is_solved_not_chained(monkeypatch):
     assert f is not None and not y.equal(x)
     record_split(x, lambda: [(y, f.inverse(), f)])
     record_split(y, lambda: [(x, f, f.inverse())])
-    assert kept(rep._SPLIT, x) is not None and kept(rep._SPLIT, y) is not None
+    assert _kept_split(x) is not None and _kept_split(y) is not None
     t = hidden_sum([members[1], x], rng)
     assert rep._split_hom(t, x) is None and rep._split_hom(y, t) is None
     calls = _count_solves(monkeypatch)
@@ -232,7 +235,9 @@ def test_verification_keeps_splits_that_free_with_the_sequence():
     report = verify_ar_sequence(ses, sub)
     assert report.passed
     for term in (ses.left, ses.middle, ses.right):
-        assert kept(rep._SPLIT, term.twin) is not None
+        assert _kept_split(term) is not None
+    # the splits are kept on the algebra, anchored on private copies, so
+    # the terms themselves go with the sequence
     gone = weakref.ref(middle)
     del ses, report, sub, members, term, middle
     gc.collect()

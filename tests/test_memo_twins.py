@@ -1,26 +1,32 @@
-"""Memo answers shared between twin modules (`memo.memoized` with `rebind`).
+"""Memo answers kept by content (`memo.memoized` with `rebind`).
 
-Twins are modules over one algebra that are equal entry for entry
+Here twins are modules over one algebra that are equal entry for entry
 (`Rep.content_key`).  Each memoized function that takes modules works
-once per content: asked about a fresh twin of a module already asked
-about, it must give what the function itself (`fn.__wrapped__`) computes
-on that twin, bit for bit, anchored on the caller's modules.
+once per content and keeps its answer in the algebra's memo: asked about
+a fresh twin of a module already asked about, it must give what the
+function itself (`fn.__wrapped__`) computes on that twin, bit for bit,
+anchored on the caller's modules, and the answer must outlive the
+modules it was first asked about without keeping them alive.
 """
 
 import gc
+import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from arquiver import linalg
+from arquiver import acceptance, corpus, linalg, rep
 from arquiver.homological import (
     dtr,
     dtr_data,
+    ext1,
     injective_envelope,
     min_presentation,
     projective_cover,
 )
+from arquiver.knit import enumerate_indec
 from arquiver.rep import (
     EndAlgebra,
     PrimeTooSmall,
@@ -29,8 +35,11 @@ from arquiver.rep import (
     end_algebra,
     hom_basis,
     is_indecomposable,
+    simple,
 )
-from test_end_algebra import _hidden_sums
+from arquiver.stable import stable_hom
+from test_dual_hom import _count_solves
+from test_end_algebra import _hidden_sums, hidden_sum
 
 ONE_MODULE = [
     end_algebra,
@@ -80,7 +89,7 @@ def _outcome(fn, *mods):
 @pytest.fixture(params=[7, 32003])
 def modules(request):
     """Seeded hidden sums over new Kronecker, A3 and loop algebras, whose
-    twin tables hold nothing asked by another test."""
+    memos hold nothing asked by another test."""
     return _hidden_sums(request.param, seed=request.param, copies=1)
 
 
@@ -89,7 +98,7 @@ def test_twins_share_the_answer_bit_for_bit(modules):
         for fn in ONE_MODULE:
             _outcome(fn, m)
         twin = _fresh(m)
-        assert twin.twin is m.twin
+        assert twin.content_key == m.content_key
         for fn in ONE_MODULE:
             assert _outcome(fn, twin) == _outcome(fn.__wrapped__, twin), fn.__name__
     for m in modules:
@@ -116,9 +125,10 @@ def test_twin_answers_point_at_the_callers_module(modules):
     _, mono = injective_envelope(m2)
     assert mono.source is m2
     pres = min_presentation(m2)
-    assert pres.module is m2 and pres.aug is aug
+    assert pres.module is m2 and pres.aug.target is m2
+    assert pres.omega is min_presentation(m).omega
     data = dtr_data(m2)
-    assert data.module is m2 and data.pres is pres
+    assert data.module is m2 and data.pres.module is m2
     assert dtr(m2) is dtr(m)
 
 
@@ -140,19 +150,105 @@ def test_twin_pairs_solve_one_hom_system(monkeypatch, modules):
     assert second.flat_matrix is first.flat_matrix
 
 
-def test_a_dropped_twin_is_freed(modules):
+def test_a_dropped_twin_is_freed(monkeypatch, modules):
     m = max(modules, key=lambda x: x.total_dim)
     del modules[:]
     dtr(m)
     end_algebra(m)
     other = _fresh(m)
-    assert other.twin is m
-    assert isinstance(end_algebra(other), EndAlgebra)
-    dtr(other)
     gone = weakref.ref(m)
-    del m
-    gc.collect()
-    assert gone() is None
-    # the content's next asker becomes its twin
-    assert other.twin is other
+    gc.disable()
+    try:
+        del m
+        # no answer kept holds the module: it goes by reference count alone
+        assert gone() is None
+    finally:
+        gc.enable()
+    # and the content's answers stay for its next asker
+    calls = _count_solves(monkeypatch)
+    assert isinstance(end_algebra(other), EndAlgebra)
     assert dtr(other) is dtr_data(other).rep
+    assert calls == []
+
+
+def _alive_after_dropping(make, count: int) -> int:
+    """How many of the modules make(rng) returns, count times over, are
+    alive right after they are dropped, with the cyclic collector off: a
+    module any kept answer holds stays."""
+    rng = random.Random(8)
+    refs = []
+    gc.disable()
+    try:
+        for _ in range(count):
+            refs += [weakref.ref(m) for m in make(rng)]
+        return sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_ext1_keeps_no_module_alive():
+    # Hom(Omega S2, N) and Hom(P0, N) are kept on the algebra, whose
+    # projective sums live as long as it does
+    alg = corpus.kronecker(32003)
+    s2 = simple(alg, 2)
+    indecs = enumerate_indec(alg, cap=5).members
+
+    def asked(rng):
+        n = hidden_sum([rng.choice(indecs) for _ in range(2)], rng)
+        ext1(s2, n)
+        end_algebra(n)
+        min_presentation(n)
+        return [n]
+
+    assert _alive_after_dropping(asked, 20) == 0
+
+
+def test_stable_hom_into_an_envelope_keeps_no_module_alive():
+    # Hom(I, N) is kept for the envelope I of G, a sum of injectives kept
+    # on the algebra
+    alg = corpus.kronecker(32003)
+    indecs = enumerate_indec(alg, cap=5).members
+
+    def asked(rng):
+        g, n = (hidden_sum([rng.choice(indecs) for _ in range(2)], rng) for _ in range(2))
+        stable_hom(g, n, "inj")
+        return [g, n]
+
+    assert _alive_after_dropping(asked, 20) == 0
+
+
+def _criterion_work(monkeypatch) -> tuple:
+    """(End builds, Hom solves) of one cold run of acceptance criterion 6,
+    each counted by content: per algebra, the module's content or the
+    pair's."""
+    ends, solves = Counter(), Counter()
+    init, system = EndAlgebra.__init__, rep._hom_system
+
+    def built(self, m):
+        ends[m.algebra, m.content_key] += 1
+        init(self, m)
+
+    def solved(m, n):
+        solves[m.algebra, m.content_key, n.content_key] += 1
+        return system(m, n)
+
+    monkeypatch.setattr(EndAlgebra, "__init__", built)
+    monkeypatch.setattr(rep, "_hom_system", solved)
+    acceptance._corpus.cache_clear()
+    assert acceptance.criterion_6(1).passed
+    acceptance._corpus.cache_clear()
+    monkeypatch.undo()
+    return ends, solves
+
+
+def test_a_criterion_works_once_per_content_whenever_the_collector_runs(monkeypatch):
+    ends, solves = _criterion_work(monkeypatch)
+    gc.disable()
+    try:
+        ends_off, solves_off = _criterion_work(monkeypatch)
+    finally:
+        gc.enable()
+    assert ends and solves
+    assert max(ends.values()) == 1 and max(solves.values()) == 1
+    assert (len(ends), len(solves)) == (len(ends_off), len(solves_off))
+    assert max(ends_off.values()) == 1 and max(solves_off.values()) == 1

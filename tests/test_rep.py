@@ -30,6 +30,7 @@ from arquiver.rep import (
     simple,
     zero_rep,
 )
+from test_dual_hom import _count_solves
 from test_end_algebra import hidden_sum
 
 
@@ -399,32 +400,45 @@ def test_dual_double_dual(m):
 # -- the memo ---------------------------------------------------------------
 
 
-def test_memo_returns_the_same_object(alg_a2, p1):
+def test_memo_shares_the_arrays(alg_a2, p1, monkeypatch):
     s1 = simple(alg_a2, 1)
-    assert hom_basis(p1, s1) is hom_basis(p1, s1)
-    assert rep.end_algebra(p1) is rep.end_algebra(p1)
-    assert projective_cover(s1) is projective_cover(s1)
-    assert injective_envelope(s1) is injective_envelope(s1)
-    assert dtr_data(s1) is dtr_data(s1)
+    hs, end = hom_basis(p1, s1), rep.end_algebra(p1)
+    cover, envelope, data = projective_cover(s1), injective_envelope(s1), dtr_data(s1)
+    calls = _count_solves(monkeypatch)
+    assert hom_basis(p1, s1).flat_matrix is hs.flat_matrix
+    assert rep.end_algebra(p1).gram is end.gram
+    assert projective_cover(s1)[0] is cover[0]
+    assert injective_envelope(s1)[0] is envelope[0]
+    assert dtr_data(s1).rep is data.rep
+    assert calls == []
 
 
 def test_memo_stores_nothing_when_the_call_raises(alg_a2, alg_kronecker):
     zero = zero_rep(alg_a2)
+    keys = set(alg_a2._memo)
     for _ in range(2):
         with pytest.raises(rep.ZeroModuleError):
             is_indecomposable(zero)
-    assert zero._memo == {}
+    assert set(alg_a2._memo) == keys
+    # contents name no algebra: S1 has one content over both algebras, and
+    # a space kept for it over one is not handed to a pair across the two
     m, n = simple(alg_a2, 1), simple(alg_kronecker, 1)
+    assert m.content_key == n.content_key
+    hom_basis(m, m)
+    keys = set(alg_a2._memo)
     for _ in range(2):
         with pytest.raises(rep.AlgebraMismatch):
             hom_basis(m, n)
-    assert m._memo == {}
+    assert set(alg_a2._memo) == keys
 
 
-def test_memo_keys_modules_by_identity(alg_a2, p1):
+def test_memo_keys_modules_by_content(alg_a2, p1, monkeypatch):
     s1, s1_again = simple(alg_a2, 1), simple(alg_a2, 1)
     assert s1.equal(s1_again)
-    hs, hs_again = hom_basis(p1, s1), hom_basis(p1, s1_again)
+    hs = hom_basis(p1, s1)
+    calls = _count_solves(monkeypatch)
+    hs_again = hom_basis(p1, s1_again)
+    assert calls == [] and hs_again.flat_matrix is hs.flat_matrix
     assert hs is not hs_again
     assert hs.target is s1 and hs_again.target is s1_again
 
