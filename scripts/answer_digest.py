@@ -16,9 +16,10 @@ exits 1 when they differ.
 
 With --rounds N it builds and runs the round N times in one process and
 prints each round's digest; it exits 1 unless all N are equal.  A later
-round may be answered from the memos and content tables the first one
-filled (`accept` reuses its seed's corpus), so this compares warm answers
-with cold ones.
+round may be answered from what the first round kept in each algebra's
+memo (`accept` reuses its seed's corpus): Hom spaces, decompositions,
+isomorphisms and realized extensions, by content.  So this compares warm
+answers with cold ones.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def member_split(matches: list, seed: int) -> list:
 
     Copy k's own Fitting piece (`rep.Summand`) is carried to its member by
     the isomorphisms `decompose` and the membership test have found and
-    kept in `iso`'s table, inverted block by block: no Hom space is solved
+    kept in `iso`'s memo, inverted block by block: no Hom space is solved
     and no isomorphism searched for.
     """
     parts = []

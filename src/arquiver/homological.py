@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .algebra import Algebra, Path, path_target
 from .linalg import matmul
-from .memo import memoized, table
+from .memo import memoized
 from .rep import (
     end_algebra,
     HomQuotient,
@@ -34,8 +34,6 @@ from .rep import (
     image_of,
     kernel_of,
     cokernel_of,
-    module_arrays,
-    module_from_arrays,
     record_split,
     sum_maps,
     sum_rep,
@@ -535,31 +533,28 @@ def realize_extension(ext: ExtSpace, coords) -> SES:
     """The pushout extension 0 -> N -> E -> M -> 0 for a class.
 
     The presentation and the classes of Ext^1(M, N) are functions of the
-    contents of M and N, so the answer is kept in a table on the algebra
-    (`memo.table`) as arrays: E and the blocks of f and g.  Exactness is
-    checked on every call (`SES`)."""
-    m, n = ext.pres.module, ext.target
-    key = (_REALIZE, m.content_key, n.content_key,
-           (np.asarray(coords, dtype=np.int64) % n.p).tobytes())
-
-    def from_arrays(arrays):
-        e_arrays, f, g = arrays
-        e = module_from_arrays(n.algebra, e_arrays)
-        return SES(RepMap(n, e, f, check=False), RepMap(e, m, g, check=False))
-
-    return table(
-        n.algebra,
-        key,
-        lambda: _realize_extension(ext, coords),
-        lambda ses: (module_arrays(ses.middle), ses.f.blocks, ses.g.blocks),
-        from_arrays,
-    )
-
-
-def _realize_extension(ext: ExtSpace, coords) -> SES:
-    pres = ext.pres
+    contents of M and N, so the answer is kept once per pair of contents
+    and class mod p on the algebra (`memo.memoized`): E is the algebra's
+    own module, shared by every caller of those contents, and the blocks
+    of f and g are re-anchored on N and M.  Exactness is checked on every
+    call (`SES`)."""
     n = ext.target
-    w = ext.cocycle_for(coords)
+    cls = tuple(int(c) for c in np.asarray(coords, dtype=np.int64) % n.p)
+    return _realize_extension(ext.source, n, cls)
+
+
+def _realized_on(maps: tuple, m: Rep, n: Rep, cls: tuple) -> SES:
+    f, g = maps
+    e = f.target
+    return SES(RepMap(n, e, f.blocks, check=False), RepMap(e, m, g.blocks, check=False))
+
+
+@memoized(rebind=_realized_on)
+def _realize_extension(m: Rep, n: Rep, cls: tuple) -> tuple:
+    """(f: N -> E, g: E -> M), unchecked: the rebind checks exactness."""
+    ext = ext1(m, n)
+    pres = ext.pres
+    w = ext.cocycle_for(cls)
     npo, injs, projs = direct_sum([n, pres.p0.rep])
     p = n.p
     span_map = injs[0].compose(w) + injs[1].compose(pres.omega_incl).scale(p - 1)
@@ -570,12 +565,7 @@ def _realize_extension(ext: ExtSpace, coords) -> SES:
         matmul(h.block(u), linalg.right_inverse(quot.block(u), p), p)
         for u in range(1, n.algebra.quiver.n + 1)
     )
-    g = RepMap(e, pres.module, g_blocks, check=True)
-    return SES(f, g)
-
-
-# the table key: the function as written, captured at import (memo.table)
-_REALIZE = realize_extension
+    return f, RepMap(e, m, g_blocks, check=True)
 
 
 # -- AR extension candidates ------------------------------------------------

@@ -1,35 +1,34 @@
-"""One memo for the data derived from a module or an algebra.
+"""One memo for the answers derived from a module or an algebra.
 
 Hom spaces, End algebras, covers, envelopes, presentations, DTr data,
-projectives and knit tables are asked for many times over, often about
-new modules equal entry for entry to earlier ones: a summand found again,
-a kernel computed twice, a translate of an equal module.  Every answer is
-kept in the `_memo` dict of one algebra under one key scheme: (fn, *args),
-with each module argument replaced by its `Rep.content_key` (dims and map
-bytes) and fn the function as written, captured when its module is
-imported, so a wrapper rebound over the module global later (a tracer)
-does not change the key.  No module carries a memo, and no key or answer
-holds a caller's module: answers live as long as their algebra, and
-`alg._memo.clear()` frees them.
+decompositions, isomorphisms, realized extensions, projectives and knit
+tables are asked for many times over, often about new modules equal entry
+for entry to earlier ones: a summand found again, a kernel computed twice,
+a translate of an equal module.  One decorator keeps them all
+(`memoized`): the answer to fn(*args) is kept in the `_memo` dict of one
+algebra under (fn, *args), with each module argument replaced by its
+`Rep.content_key` (dims and map bytes), the algebra itself left out, and
+fn the function as written, so a wrapper rebound over the module global
+later (a tracer) does not change the key.  Plain arguments (a vertex, a
+seed, the coordinates of a class) sit in the key as they are.  No module
+carries a memo, and no key or answer holds a caller's module: answers
+live as long as their algebra, and `alg._memo.clear()` frees them.
 
-A function memoized with `rebind` takes modules only.  On a miss it runs
-on the algebra's own modules of their contents (`private`: one copy per
-content, sharing the read-only arrays and the cached content_key), and
-the answer kept is anchored on those.  Every call, hit or miss, returns
-`rebind(answer, *the caller's modules)`: the same answer re-anchored on
-the caller's modules (a Hom space whose source is the caller's module, a
-cover onto it), sharing every array and every derived module with the
-kept answer, so each content is worked out once.  No memoized answer
-depends on `Rep.name`: names are labels for printing, not content, and
-every derived module is named from the algebra (P1, D(P1)) or not at
-all.  A function memoized without `rebind` (projectives, knit tables)
-takes the algebra and plain values and keeps its answer as it is.
-
-Three answers are kept as arrays only (`table`): the decomposition of a
-module (`rep.decompose`), an isomorphism between two modules (`rep.iso`)
-and the middle term of an extension class with its two maps
-(`homological.realize_extension`).  A hit rebuilds the answer around the
-caller's modules.
+On a miss the function runs on the algebra's own modules of the
+arguments' contents (`private`: one copy per content, sharing the
+read-only arrays and the cached content_key), so the answer kept is
+anchored on those, and every module it derives (a syzygy, DTr M, a
+decomposition piece, the middle term of an extension) is the algebra's
+too, shared by every caller of that content.  A function memoized with
+`rebind` returns `rebind(answer, *the caller's arguments)` on every call,
+hit or miss: the same answer re-anchored on the caller's modules (a Hom
+space whose source is the caller's module, a cover onto it, witnesses
+into it), sharing every array and every derived module with the kept
+answer, so each content is worked out once.  Without `rebind` the kept
+answer is returned as it is (projectives, knit tables, a verdict).  No
+memoized answer depends on `Rep.name`: names are labels for printing, not
+content, and every derived module is named from the algebra (P1, D(P1))
+or not at all.
 
 An answer found another way can be kept in advance (`remember`): the End
 of a direct summand, read off the End of the module it splits from, is
@@ -60,9 +59,14 @@ import copy
 import functools
 
 
-def key_of(fn, *modules) -> tuple:
-    """The memo key of fn(*modules): fn, then each module's content_key."""
-    return (fn, *(m.content_key for m in modules))
+def _is_module(x) -> bool:
+    return hasattr(x, "content_key")
+
+
+def key_of(fn, *args) -> tuple:
+    """The memo key of fn(*args): fn, then each argument, a module by its
+    content_key."""
+    return (fn, *[getattr(a, "content_key", a) for a in args])
 
 
 def private(m):
@@ -76,28 +80,26 @@ def private(m):
 
 
 def memoized(fn=None, *, rebind=None):
-    """fn(obj, *args), stored in obj._memo under (fn, *args) on the first
-    call and returned from there afterwards.  A call that raises stores
-    nothing.
+    """fn(*args), kept in the memo of the algebra of its first argument
+    (the first argument's `.algebra`, or the first argument itself when it
+    is the algebra) under key_of(fn, *args), the algebra left out.  On a
+    miss fn runs with each module replaced by the algebra's own module of
+    its content (`private`); a call that raises stores nothing.
 
-    With `rebind`, every argument is a module: the answer is kept in the
-    algebra's memo under `key_of(fn, *modules)`, computed on the algebra's
-    own modules of those contents (`private`), and every call returns it
-    rebound onto the caller's modules."""
+    With `rebind`, every call returns rebind(answer, *args): the kept
+    answer re-anchored on the caller's arguments.  Without it, the kept
+    answer itself."""
     if fn is None:
         return functools.partial(memoized, rebind=rebind)
 
     @functools.wraps(fn)
-    def wrapper(obj, *args):
-        if rebind is None:
-            memo, key = obj._memo, (fn, *args)
-            if key not in memo:
-                memo[key] = fn(obj, *args)
-            return memo[key]
-        memo, key = obj.algebra._memo, key_of(fn, obj, *args)
+    def wrapper(*args):
+        first = args[0]
+        alg = getattr(first, "algebra", first)
+        memo, key = alg._memo, key_of(fn, *(args[1:] if first is alg else args))
         if key not in memo:
-            memo[key] = fn(*(private(m) for m in (obj, *args)))
-        return rebind(memo[key], obj, *args)
+            memo[key] = fn(*[private(a) if _is_module(a) else a for a in args])
+        return memo[key] if rebind is None else rebind(memo[key], *args)
 
     return wrapper
 
@@ -126,18 +128,4 @@ def kept(alg, key: tuple):
     answer = alg._memo.get(key)
     if isinstance(answer, _Unmade):
         answer = alg._memo[key] = answer.make()
-    return answer
-
-
-def table(alg, key, compute, to_arrays, from_arrays):
-    """The answer kept in alg._memo under key, rebuilt by
-    from_arrays(arrays); on a miss compute() answers and to_arrays(answer)
-    is kept.  key starts with the function as written, captured when its
-    module is imported (as for `key_of`), and names modules by
-    `Rep.content_key` only."""
-    memo = alg._memo
-    if key in memo:
-        return from_arrays(memo[key])
-    answer = compute()
-    memo[key] = to_arrays(answer)
     return answer

@@ -20,7 +20,7 @@ from . import linalg
 from .algebra import Algebra
 from .fpoly import factor_mod as _factor_mod  # a module global, so it can be wrapped
 from .linalg import matmul
-from .memo import key_of, kept, memoized, private, remember, table
+from .memo import key_of, kept, memoized, private, remember
 
 DEFAULT_SEED = 1
 
@@ -119,11 +119,7 @@ class Rep:
         return self.dims, b"".join(b.T.tobytes() for b in self.maps.values())
 
     def equal(self, other: "Rep") -> bool:
-        return (
-            self.algebra is other.algebra
-            and self.dims == other.dims
-            and all(np.array_equal(self.maps[k], other.maps[k]) for k in self.maps)
-        )
+        return self.algebra is other.algebra and self.content_key == other.content_key
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -894,7 +890,7 @@ def _exhaustive_idempotent_split(end: EndAlgebra) -> bool:
 EXHAUSTIVE_END_LIMIT = 1 << 16
 
 
-@memoized(rebind=lambda answer, m: answer)
+@memoized
 def is_indecomposable(m: Rep) -> bool:
     """Certify indecomposability via End(M)/rad; memoized (memo.memoized)
     by content.
@@ -945,7 +941,7 @@ class Summand:
     own Fitting piece, `inclusions[k].source`: `rep` itself for the first
     copy, a module isomorphic to `rep` but not the same object for the
     others.  `decompose` has matched each such piece with `iso(rep,
-    piece)` at its seed, which `iso`'s table keeps."""
+    piece)` at its seed, which `iso`'s memo keeps."""
 
     rep: Rep
     multiplicity: int
@@ -1097,59 +1093,30 @@ def decompose(m: Rep, seed: int = DEFAULT_SEED) -> list:
     the split maps into/out of m (one pair per copy).
 
     The answer is a function of the content of m and the seed, so it is
-    kept in a table on the algebra (`memo.table`), as arrays only: a module
-    equal to m entry for entry gets the same pieces and witness blocks,
-    rebuilt as new objects around it.
+    kept once per content on the algebra (`memo.memoized`): a module equal
+    to m entry for entry gets the same pieces, the algebra's own modules
+    shared by every caller of that content, with the witnesses re-anchored
+    on it (`_summands_on`).
     """
-    return table(
-        m.algebra,
-        (_DECOMPOSE, seed, m.content_key),
-        lambda: _decompose(m, seed),
-        lambda groups: tuple(
-            tuple(_copy_arrays(m, incl, pr) for incl, pr in zip(g.inclusions, g.projections))
-            for g in groups
-        ),
-        lambda stored: [_summand_from_arrays(m, copies) for copies in stored],
-    )
+    return _decompose(m, seed)
 
 
-def module_arrays(m: Rep) -> tuple:
-    """(dims, maps in arrow order): a module as a content table keeps it."""
-    return m.dims, tuple(m.maps.values())
+def _summands_on(groups: list, m: Rep, seed: int) -> list:
+    """groups, a decomposition of the algebra's own module of m's content
+    (`memo.private`), as one of m: the same pieces and witness blocks, the
+    witnesses running into and out of m, and m itself as the piece of an
+    indecomposable m."""
+    own = private(m)
+    out = []
+    for g in groups:
+        pieces = [m if incl.source is own else incl.source for incl in g.inclusions]
+        incls = [RepMap(x, m, i.blocks, check=False) for x, i in zip(pieces, g.inclusions)]
+        projs = [RepMap(m, x, q.blocks, check=False) for x, q in zip(pieces, g.projections)]
+        out.append(Summand(pieces[0], g.multiplicity, incls, projs))
+    return out
 
 
-def module_from_arrays(alg: Algebra, arrays) -> Rep:
-    dims, maps = arrays
-    return Rep(alg, dims, {a.name: b for a, b in zip(alg.quiver.arrows, maps)})
-
-
-def _copy_arrays(m: Rep, incl: RepMap, proj: RepMap):
-    """One copy of a summand of m as arrays: (piece arrays, inclusion
-    blocks, projection blocks), or None when the copy is m itself (an
-    indecomposable m, with identity witnesses)."""
-    piece = incl.source
-    if piece is m:
-        return None
-    return module_arrays(piece), incl.blocks, proj.blocks
-
-
-def _copy_from_arrays(m: Rep, arrays) -> tuple:
-    """(piece, inclusion, projection) of a stored copy, rebuilt around m."""
-    if arrays is None:
-        ident = identity_map(m)
-        return m, ident, ident
-    piece_arrays, incl, proj = arrays
-    piece = module_from_arrays(m.algebra, piece_arrays)
-    return piece, RepMap(piece, m, incl, check=False), RepMap(m, piece, proj, check=False)
-
-
-def _summand_from_arrays(m: Rep, copies) -> Summand:
-    pieces = [_copy_from_arrays(m, arrays) for arrays in copies]
-    return Summand(
-        pieces[0][0], len(pieces), [incl for _, incl, _ in pieces], [pr for _, _, pr in pieces]
-    )
-
-
+@memoized(rebind=_summands_on)
 def _decompose(m: Rep, seed: int) -> list:
     rng = random.Random(seed)
     pieces = _split_indecomposables(m, rng)
@@ -1174,7 +1141,8 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
     indecomposable pairs since non-isos form a proper subspace).
 
     The witness is a function of the two contents and the seed, so it is
-    kept in a table on the algebra (`memo.table`) as its blocks, or None.
+    kept once per pair of contents on the algebra (`memo.memoized`) and
+    its blocks are re-anchored on m and n, or None.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
@@ -1182,15 +1150,10 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
         return None
     if m.is_zero:
         return zero_map(m, n)
-    return table(
-        m.algebra,
-        (_ISO, seed, m.content_key, n.content_key),
-        lambda: _iso(m, n, seed),
-        lambda f: None if f is None else f.blocks,
-        lambda blocks: None if blocks is None else RepMap(m, n, blocks, check=False),
-    )
+    return _iso(m, n, seed)
 
 
+@memoized(rebind=lambda f, m, n, seed: None if f is None else RepMap(m, n, f.blocks, check=False))
 def _iso(m: Rep, n: Rep, seed: int):
     hs = hom_basis(m, n)
     if hs.dim == 0:
@@ -1226,11 +1189,6 @@ def _iso(m: Rep, n: Rep, seed: int):
             p_blocks[i] = (p_blocks[i] + term.block(i + 1)) % p
     f = RepMap(m, n, tuple(p_blocks), check=True)
     return f if f.is_invertible() else None
-
-
-# the table keys: the functions as written, captured at import so that a
-# tracer rebinding the module globals does not change them (memo.table)
-_DECOMPOSE, _ISO = decompose, iso
 
 
 def _indec_iso(m: Rep, n: Rep):

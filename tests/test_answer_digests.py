@@ -28,8 +28,8 @@ def test_seed_1_answers_match_the_pinned_digest(workload):
 
 
 def test_a_warm_round_answers_like_a_cold_one():
-    # the second round of `accept` finds its seed's corpus and the content
-    # tables on it filled by the first
+    # the second round of `accept` finds its seed's corpus and the memo on
+    # each of its algebras filled by the first
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "answer_digest.py"),
          "--workload", "accept", "--seed", "1", "--rounds", "2", "--check", str(PINS)],

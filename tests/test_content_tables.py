@@ -1,10 +1,11 @@
-"""The content tables of `rep.iso` and `homological.realize_extension`.
+"""The kept answers of `rep.iso` and `homological.realize_extension`.
 
 Both answers are functions of module content (`Rep.content_key`), so each
-is kept once per content in a table on the algebra (`memo.table`), as
-arrays only.  A module equal entry for entry to one already asked about is
-answered from the table: the answer must be what a cold run computes, bit
-for bit, rebuilt around the caller's modules.
+is kept once per content in the algebra's memo (`memo.memoized`).  A
+module equal entry for entry to one already asked about is answered from
+the memo: the answer must be what a cold run computes, bit for bit,
+re-anchored on the caller's modules.  A realized middle term is the
+algebra's own module, shared by every caller of those contents.
 """
 
 import gc
@@ -22,7 +23,12 @@ from test_memo_twins import _fresh
 
 
 def _table_keys(alg, fn) -> list:
-    return [k for k in alg._memo if k[0] is fn]
+    """The memo keys of fn, a function memoized as written."""
+    return [k for k in alg._memo if k[0] is fn.__wrapped__]
+
+
+def _kept(algs, fn) -> int:
+    return sum(len(_table_keys(alg, fn)) for alg in algs)
 
 
 def _clear(alg, fn) -> None:
@@ -92,26 +98,26 @@ def _iso_pairs(modules):
     return [(m, n) for m in mods for n in mods if m.algebra is n.algebra and m.dims == n.dims]
 
 
-def test_iso_table_serves_new_modules_bit_for_bit(modules, monkeypatch):
-    calls = _counted(monkeypatch, rep, "_iso")
+def test_iso_table_serves_new_modules_bit_for_bit(modules):
+    """A miss keeps one entry (or raises and keeps none), so the entries
+    counted before and after a call tell a served call from a computed
+    one."""
     pairs = _iso_pairs(modules)
+    algs = {m.algebra for m, _ in pairs}
     assert any(m is not n for m, n in pairs)
     warm = [_iso_outcome(m, n, 5) for m, n in pairs]
     assert any(w is not None and not _raised(w) for w in warm)
-    served = []
-    for m, n in pairs:
-        calls.clear()
-        served.append(_iso_outcome(_fresh(m), _fresh(n), 5))
-        # a raising call stores nothing, so it is asked again
-        assert calls == [] or _raised(served[-1])
+    kept = _kept(algs, rep._iso)
+    served = [_iso_outcome(_fresh(m), _fresh(n), 5) for m, n in pairs]
+    assert _kept(algs, rep._iso) == kept
     assert served == warm
     # a second seed has entries of its own
-    calls.clear()
     m, n = pairs[-1]
     _iso_outcome(_fresh(m), _fresh(n), 6)
-    assert [args[2] for args in calls] == [6]
-    for alg in {m.algebra for m, _ in pairs}:
-        _clear(alg, rep._ISO)
+    new = [k for k in _table_keys(m.algebra, rep._iso) if k[-1] == 6]
+    assert len(new) == 1 and _kept(algs, rep._iso) == kept + 1
+    for alg in algs:
+        _clear(alg, rep._iso)
     cold = [_iso_outcome(_fresh(m), _fresh(n), 5) for m, n in pairs]
     assert cold == served
 
@@ -135,7 +141,9 @@ def _ext_cases(modules):
 
 
 def test_extension_table_serves_new_modules_bit_for_bit(modules, monkeypatch):
-    calls = _counted(monkeypatch, homological, "_realize_extension")
+    """Misses are counted by `direct_sum` of N and P0, which in
+    `homological` only a realization computes."""
+    calls = _counted(monkeypatch, homological, "direct_sum")
     cases = _ext_cases(modules)
     assert cases
     warm = [_ses_arrays(realize_extension(ext1(m, n), q)) for m, n, q in cases]
@@ -155,20 +163,32 @@ def test_extension_table_serves_new_modules_bit_for_bit(modules, monkeypatch):
     realize_extension(ext1(_fresh(m), _fresh(n)), np.asarray(q) + m.p)
     assert calls == []
     for alg in {m.algebra for m, _, _ in cases}:
-        _clear(alg, homological._REALIZE)
+        _clear(alg, homological._realize_extension)
     cold = [_ses_arrays(realize_extension(ext1(_fresh(m), _fresh(n)), q)) for m, n, q in cases]
     assert cold == served
     assert len(calls) == len(cases)
 
 
-def _only_arrays(x) -> bool:
+def _plain(x) -> bool:
     if isinstance(x, tuple):
-        return all(_only_arrays(y) for y in x)
-    return x is None or isinstance(x, (int, np.ndarray))
+        return all(_plain(y) for y in x)
+    return isinstance(x, (int, bytes))
+
+
+def _modules_of(answer) -> list:
+    """The modules a kept isomorphism or realization refers to."""
+    if answer is None:
+        return []
+    maps = answer if isinstance(answer, tuple) else [answer]  # a realization's (f, g)
+    return [x for f in maps for x in (f.source, f.target)]
 
 
 def test_the_tables_hold_only_arrays(modules):
+    """No key of a kept isomorphism or realization holds a module, only
+    content keys and plain values, and no kept answer refers to a caller's
+    module."""
     algs = {m.algebra for m, _ in modules}
+    callers = [x for pair in modules for x in pair]
     for m, n in _iso_pairs(modules):
         try:
             iso(m, n)
@@ -176,28 +196,40 @@ def test_the_tables_hold_only_arrays(modules):
             pass
     for m, n, q in _ext_cases(modules):
         realize_extension(ext1(m, n), q)
-    for fn in (rep._ISO, homological._REALIZE):
+    for fn in (rep._iso, homological._realize_extension):
         keys = [k for alg in algs for k in _table_keys(alg, fn)]
         assert keys
-        for k in keys:
-            assert all(isinstance(x, (int, bytes, tuple)) for x in k[1:])
-        assert all(_only_arrays(alg._memo[k]) for alg in algs for k in _table_keys(alg, fn))
+        assert all(_plain(k[1:]) for k in keys)
+        answers = [alg._memo[k] for alg in algs for k in _table_keys(alg, fn)]
+        assert not any(x is c for a in answers for x in _modules_of(a) for c in callers)
 
 
 def test_no_realized_middle_term_outlives_its_caller(modules):
+    """With the cyclic collector off, the caller's modules are freed by
+    reference count alone; the middle term is the algebra's, shared by both
+    calls and freed with the algebra's memo."""
     m, n, q = next((m, n, q) for m, n, q in _ext_cases(modules) if q.any())
-    first = realize_extension(ext1(m, n), q)
-    m2, n2 = _fresh(m), _fresh(n)
-    again = realize_extension(ext1(m2, n2), q)
-    refs = [weakref.ref(x) for x in (first.middle, again.middle, m2, n2)]
-    del first, again, m2, n2
-    gc.collect()
-    assert all(r() is None for r in refs)
+    alg = m.algebra
+    gc.disable()
+    try:
+        first = realize_extension(ext1(m, n), q)
+        m2, n2 = _fresh(m), _fresh(n)
+        again = realize_extension(ext1(m2, n2), q)
+        assert again.middle is first.middle
+        callers = [weakref.ref(x) for x in (m2, n2)]
+        middle = weakref.ref(first.middle)
+        del first, again, m2, n2
+        assert all(r() is None for r in callers)
+        assert middle() is not None
+        alg._memo.clear()
+        assert middle() is None
+    finally:
+        gc.enable()
 
 
 def test_a_warm_acceptance_run_realizes_nothing(monkeypatch):
     first = [(r.passed, r.detail) for r in acceptance.run_all(1)]
-    calls = _counted(monkeypatch, homological, "_realize_extension")
+    calls = _counted(monkeypatch, homological, "direct_sum")
     second = [(r.passed, r.detail) for r in acceptance.run_all(1)]
     assert second == first
     assert all(passed for passed, _ in second)

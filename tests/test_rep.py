@@ -448,11 +448,12 @@ def test_memo_on_the_algebra(alg_kronecker):
     assert proj(alg_kronecker, 1) is not proj(alg_kronecker, 2)
 
 
-# -- the decompose table ------------------------------------------------------
+# -- kept decompositions ------------------------------------------------------
 
 
 def _table_keys(alg) -> list:
-    return [k for k in alg._memo if k[0] is decompose]
+    """The memo keys of the decompositions kept on alg."""
+    return [k for k in alg._memo if k[0] is rep._decompose.__wrapped__]
 
 
 def _entry_copy(m: Rep) -> Rep:
@@ -493,29 +494,23 @@ def _table_modules(p: int) -> list:
 
 
 @pytest.mark.parametrize("p", [7, 32003])
-def test_decompose_table_serves_entry_identical_copies(p, monkeypatch):
-    computed = []
-    cold_decompose = rep._decompose
-
-    def counted(m, seed):
-        computed.append((m, seed))
-        return cold_decompose(m, seed)
-
-    monkeypatch.setattr(rep, "_decompose", counted)
+def test_decompose_table_serves_entry_identical_copies(p):
+    """A miss keeps one entry, so the entries counted before and after a
+    call tell a served call from a computed one."""
     for m, pieces in _table_modules(p):
         alg = m.algebra
         decompose(m, seed=5)
         fresh = _entry_copy(m)
-        computed.clear()
+        kept = _table_keys(alg)
         served = decompose(fresh, seed=5)
-        assert computed == []
+        assert _table_keys(alg) == kept
         for g in served:
             for incl, pr in zip(g.inclusions, g.projections):
                 assert incl.target is fresh and pr.source is fresh
                 assert incl.source is not m and pr.target is not m
         # a second seed has an entry of its own
         decompose(fresh, seed=6)
-        assert [s for _, s in computed] == [6]
+        assert [k[-1] for k in _table_keys(alg) if k not in kept] == [6]
         for k in _table_keys(alg):
             del alg._memo[k]
         cold = decompose(_entry_copy(m), seed=5)
@@ -526,23 +521,54 @@ def test_decompose_table_serves_entry_identical_copies(p, monkeypatch):
 
 
 def test_decompose_table_holds_only_arrays(alg_kronecker):
-    def only_arrays(x):
-        if isinstance(x, tuple):
-            return all(only_arrays(y) for y in x)
-        return x is None or isinstance(x, (int, np.ndarray))
+    """No key of a kept decomposition holds a module, only content keys
+    and plain values, and no kept answer refers to a caller's module."""
 
-    decompose(hidden_sum([simple(alg_kronecker, 1), proj(alg_kronecker, 2)], random.Random(1)))
-    decompose(proj(alg_kronecker, 1))
+    def plain(x):
+        if isinstance(x, tuple):
+            return all(plain(y) for y in x)
+        return isinstance(x, (int, bytes))
+
+    callers = [
+        hidden_sum([simple(alg_kronecker, 1), proj(alg_kronecker, 2)], random.Random(1)),
+        proj(alg_kronecker, 1),
+    ]
+    for m in callers:
+        decompose(m)
     keys = _table_keys(alg_kronecker)
     assert keys
-    assert all(only_arrays(alg_kronecker._memo[k]) for k in keys)
+    assert all(plain(k[1:]) for k in keys)
+    referred = [
+        x
+        for k in keys
+        for g in alg_kronecker._memo[k]
+        for maps in (g.inclusions, g.projections)
+        for f in maps
+        for x in (g.rep, f.source, f.target)
+    ]
+    assert referred
+    assert not any(x is c for x in referred for c in callers)
 
 
-def test_decompose_table_keeps_no_module_alive(alg_kronecker):
-    m = hidden_sum([simple(alg_kronecker, 1), simple(alg_kronecker, 2)], random.Random(2))
-    parts = decompose(m)
-    again = decompose(_entry_copy(m))
-    refs = [weakref.ref(x) for x in (m, parts[0].rep, again[0].rep)]
-    del m, parts, again
-    gc.collect()
-    assert all(r() is None for r in refs)
+def test_decompose_table_keeps_no_module_alive():
+    """With the cyclic collector off, the caller's modules are freed by
+    reference count alone; the pieces are the algebra's, shared by both
+    calls and freed with the algebra's memo."""
+    alg = corpus.kronecker()
+    gc.disable()
+    try:
+        m = hidden_sum([simple(alg, 1), simple(alg, 2)], random.Random(2))
+        m2 = _entry_copy(m)
+        parts = decompose(m)
+        again = decompose(m2)
+        assert len(parts) == 2
+        assert all(g.rep is h.rep for g, h in zip(parts, again))
+        callers = [weakref.ref(x) for x in (m, m2)]
+        pieces = [weakref.ref(g.rep) for g in parts]
+        del m, m2, parts, again
+        assert all(r() is None for r in callers)
+        assert all(r() is not None for r in pieces)
+        alg._memo.clear()
+        assert all(r() is None for r in pieces)
+    finally:
+        gc.enable()
