@@ -16,7 +16,12 @@ with counters wrapped around the program from outside.  A Hom space that
   a sum of indecomposable projectives or injectives).
 
 It prints one line per round with those three counts, the unknowns of the
-solved systems and the End algebras built (`rep.EndAlgebra`).  An operation
+solved systems, the End algebras built (`rep.EndAlgebra`), the Ext^1
+spaces worked out (`homological.ext1` misses, each one quotient of
+cocycles by restrictions, `homological.hom_quotient`), the `RepMap`s built
+by their constructor, which copies and reduces every block, and those made
+from blocks taken as they are (`RepMap._reduced`: composites, sums,
+multiples, identities and maps re-anchored from the memo).  An operation
 the program reports it cannot answer (`workloads.OpFailed`) is counted like
 any other; anything else it raises stops the script.  With
 --rounds N the round is built and run N times in one process; a later round
@@ -35,15 +40,19 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
-from arquiver import rep  # noqa: E402
+from arquiver import homological, rep  # noqa: E402
 
 COUNTS: Counter = Counter()
 
 
 def _count_hom_routes() -> None:
-    """Wrap the three routes of hom_basis and the End build with counters."""
+    """Wrap the three routes of hom_basis, the End build, the quotient an
+    Ext^1 space is worked out as and the two ways a RepMap is made with
+    counters."""
     hom_system, dual_hom, split_hom = rep._hom_system, rep._dual_hom, rep._split_hom
     end_init = rep.EndAlgebra.__init__
+    hom_quotient = homological.hom_quotient
+    map_init, map_reduced = rep.RepMap.__post_init__, rep.RepMap._reduced.__func__
 
     def solved(m, n):
         system = hom_system(m, n)
@@ -64,10 +73,25 @@ def _count_hom_routes() -> None:
         COUNTS["End builds"] += 1
         end_init(self, m)
 
+    def ext_worked_out(hs, maps):
+        COUNTS["Ext1"] += 1
+        return hom_quotient(hs, maps)
+
+    def map_built(self):
+        COUNTS["RepMaps built"] += 1
+        map_init(self)
+
+    def map_taken(cls, source, target, blocks):
+        COUNTS["RepMaps taken"] += 1
+        return map_reduced(cls, source, target, blocks)
+
     rep._hom_system = solved
     rep._dual_hom = read_off(dual_hom, "dual")
     rep._split_hom = read_off(split_hom, "split")
     rep.EndAlgebra.__init__ = end_built
+    homological.hom_quotient = ext_worked_out
+    rep.RepMap.__post_init__ = map_built
+    rep.RepMap._reduced = classmethod(map_taken)
 
 
 def main() -> int:
@@ -90,7 +114,9 @@ def main() -> int:
             f"{args.workload} seed {args.seed} round {r}: "
             f"Hom solved {COUNTS['solved']} ({COUNTS['unknowns']} unknowns), "
             f"read off a dual {COUNTS['dual']}, read off a split {COUNTS['split']}; "
-            f"End builds {COUNTS['End builds']}"
+            f"End builds {COUNTS['End builds']}; "
+            f"Ext1 worked out {COUNTS['Ext1']}; RepMaps built {COUNTS['RepMaps built']}, "
+            f"taken as they are {COUNTS['RepMaps taken']}"
         )
     return 0
 

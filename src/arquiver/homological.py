@@ -13,7 +13,7 @@ as a rep.HomQuotient (`ExtSpace.classes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .rep import (
     HomQuotient,
     Rep,
     RepMap,
+    _hom_on,
     direct_sum,
     dual,
     factor_through_left,
@@ -252,7 +253,7 @@ def _cover_on(cover: tuple, m: Rep) -> tuple:
     """The projective cover of a module of m's content as a cover of m:
     the same ProjSum, its surjection re-targeted."""
     ps, aug = cover
-    return ps, RepMap(aug.source, m, aug.blocks, check=False)
+    return ps, aug.reanchored(aug.source, m)
 
 
 @memoized(rebind=_cover_on)
@@ -291,7 +292,7 @@ def _envelope_on(envelope: tuple, m: Rep) -> tuple:
     """The injective envelope of a module of m's content as an envelope of
     m: the same InjSum, its mono re-sourced."""
     isum, mono = envelope
-    return isum, RepMap(m, mono.target, mono.blocks, check=False)
+    return isum, mono.reanchored(m, mono.target)
 
 
 @memoized(rebind=_envelope_on)
@@ -356,7 +357,16 @@ class Presentation:
     omega_incl: RepMap  # omega -> P0
 
 
-@memoized(rebind=lambda pres, m: replace(pres, module=m, aug=projective_cover(m)[1]))
+def _presentation_on(pres: Presentation, m: Rep) -> Presentation:
+    """The presentation of a module of m's content as one of m: P1, d1 and
+    the syzygy shared, the augmentation re-targeted."""
+    aug = pres.aug.reanchored(pres.aug.source, m)
+    return Presentation(
+        m, pres.p0, aug, pres.p1, pres.d1, pres.d1_rep, pres.omega, pres.omega_incl
+    )
+
+
+@memoized(rebind=_presentation_on)
 def min_presentation(m: Rep) -> Presentation:
     """Memoized (memo.memoized): DTr, Tr and every ext1(m, -) share it."""
     p0, aug = projective_cover(m)
@@ -400,7 +410,13 @@ class DtrData:
     incl: RepMap  # DTr M -> nu P1
 
 
-@memoized(rebind=lambda data, m: replace(data, module=m, pres=min_presentation(m)))
+def _dtr_on(data: DtrData, m: Rep) -> DtrData:
+    """The DTr data of a module of m's content as m's: its presentation
+    rebound (`_presentation_on`), nu d1 and DTr M shared."""
+    return DtrData(m, _presentation_on(data.pres, m), data.nu_d1, data.rep, data.incl)
+
+
+@memoized(rebind=_dtr_on)
 def dtr_data(m: Rep) -> DtrData:
     """The presentation of m, nu d1 and DTr M = ker(nu d1), memoized
     (memo.memoized) by content: modules equal entry for entry share one
@@ -520,9 +536,24 @@ def _omega_lift(pres: Presentation, phi: RepMap) -> RepMap:
     return RepMap(pres.omega, pres.omega, tuple(blocks), check=False)
 
 
+def _ext_on(ext: ExtSpace, m: Rep, n: Rep) -> ExtSpace:
+    """Ext^1 between modules of the contents of m and n as Ext^1(m, n): the
+    presentation rebound onto m (`_presentation_on`), the cocycles
+    Hom(Omega M, N) onto n (`_hom_on`), the quotient by the restrictions
+    shared."""
+    z = ext.classes.hom
+    classes = HomQuotient(_hom_on(z, z.source, n), ext.classes.quotient)
+    return ExtSpace(m, n, _presentation_on(ext.pres, m), classes)
+
+
+@memoized(rebind=_ext_on)
 def ext1(m: Rep, n: Rep) -> ExtSpace:
     """On the one presentation of m, as `pushforward_matrix` requires.
-    Hom(P0, N) is skipped when there are no cocycles to restrict to."""
+    Hom(P0, N) is skipped when there are no cocycles to restrict to.
+
+    Memoized (memo.memoized) by the contents of m and n: the criteria and
+    the AR searches ask for the same pairs many times, and every realized
+    extension (`_realize_extension`) reads the space its caller holds."""
     pres = min_presentation(m)
     z = hom_basis(pres.omega, n)
     restrictions = hom_basis(pres.p0.rep, n).before(pres.omega_incl) if z.dim else []
@@ -546,7 +577,7 @@ def realize_extension(ext: ExtSpace, coords) -> SES:
 def _realized_on(maps: tuple, m: Rep, n: Rep, cls: tuple) -> SES:
     f, g = maps
     e = f.target
-    return SES(RepMap(n, e, f.blocks, check=False), RepMap(e, m, g.blocks, check=False))
+    return SES(f.reanchored(n, e), g.reanchored(e, m))
 
 
 @memoized(rebind=_realized_on)

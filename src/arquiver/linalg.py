@@ -48,8 +48,20 @@ class DimensionMismatch(ValueError):
     """Shapes of the operands do not line up; a usage error, not 'no solution'."""
 
 
+INT64_LIMIT = 2**63
+
+
 def as_matrix(m, p: int) -> np.ndarray:
-    a = np.asarray(m, dtype=np.int64)
+    """m as an int64 matrix reduced mod p (a vector as one column).  Float
+    entries must be integers within int64, as those of `np.eye` are: any
+    other (1.5, NaN, inf, 1e30) raises ValueError rather than be truncated
+    or wrapped."""
+    a = np.asarray(m)
+    if a.dtype.kind == "f" and not (
+        (np.abs(a) < INT64_LIMIT).all() and (a == np.round(a)).all()
+    ):
+        raise ValueError("matrix entries must be integers within int64")
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(-1, 1) if a.size else a.reshape(0, 1)
     if a.ndim != 2:
@@ -63,9 +75,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-INT64_LIMIT = 2**63
 
 
 class ModulusTooLarge(OverflowError):

@@ -1,10 +1,10 @@
 """One memo for the answers derived from a module or an algebra.
 
 Hom spaces, End algebras, covers, envelopes, presentations, DTr data,
-decompositions, isomorphisms, realized extensions, projectives and knit
-tables are asked for many times over, often about new modules equal entry
-for entry to earlier ones: a summand found again, a kernel computed twice,
-a translate of an equal module.  One decorator keeps them all
+Ext^1 spaces, decompositions, isomorphisms, realized extensions,
+projectives and knit tables are asked for many times over, often about
+new modules equal entry for entry to earlier ones: a summand found again,
+a kernel computed twice, a translate of an equal module.  One decorator keeps them all
 (`memoized`): the answer to fn(*args) is kept in the `_memo` dict of one
 algebra under (fn, *args), with each module argument replaced by its
 `Rep.content_key` (dims and map bytes), the algebra itself left out, and
@@ -24,11 +24,17 @@ too, shared by every caller of that content.  A function memoized with
 hit or miss: the same answer re-anchored on the caller's modules (a Hom
 space whose source is the caller's module, a cover onto it, witnesses
 into it), sharing every array and every derived module with the kept
-answer, so each content is worked out once.  Without `rebind` the kept
-answer is returned as it is (projectives, knit tables, a verdict).  No
-memoized answer depends on `Rep.name`: names are labels for printing, not
-content, and every derived module is named from the algebra (P1, D(P1))
-or not at all.
+answer, so each content is worked out once.  A rebind copies nothing it
+can share: its maps take the kept blocks as they are
+(`rep.RepMap.reanchored`, which checks only the algebra and the dims), a
+rebound Hom space reads the free positions its kept space has worked out,
+and a rebound Ext^1(M, N) is M's presentation rebound, the cocycles
+Hom(Omega M, N) rebound onto N and the kept quotient by the restrictions,
+so a realized extension reads the space its caller holds.  A hit costs
+about one lookup.  Without `rebind` the kept answer is returned as it is
+(projectives, knit tables, a verdict).  No memoized answer depends on
+`Rep.name`: names are labels for printing, not content, and every derived
+module is named from the algebra (P1, D(P1)) or not at all.
 
 An answer found another way can be kept in advance (`remember`): the End
 of a direct summand, read off the End of the module it splits from, is

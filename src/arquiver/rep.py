@@ -165,6 +165,30 @@ class RepMap:
                 if not np.array_equal(lhs, rhs):
                     raise ValueError(f"map does not commute with arrow {a.name!r}")
 
+    @classmethod
+    def _reduced(cls, source: Rep, target: Rep, blocks: tuple) -> "RepMap":
+        """The map with these blocks, taken as they are: int64, reduced mod
+        p and of the right shapes by construction (a product, a sum, the
+        blocks of another map), so nothing is copied or checked.  Each block
+        is made read-only."""
+        f = cls.__new__(cls)
+        for b in blocks:
+            b.setflags(write=False)
+        f.source, f.target, f.blocks, f.check = source, target, blocks, False
+        return f
+
+    def reanchored(self, source: Rep, target: Rep) -> "RepMap":
+        """This map between modules of the contents of its own source and
+        target, over the same algebra, as a map source -> target: the same
+        blocks, shared.  Raises AlgebraMismatch over another algebra and
+        ValueError for other dims; contents are not compared."""
+        alg = self.source.algebra
+        if source.algebra is not alg or target.algebra is not alg:
+            raise AlgebraMismatch("re-anchored across different algebras")
+        if source.dims != self.source.dims or target.dims != self.target.dims:
+            raise ValueError("re-anchored onto modules of other dims")
+        return RepMap._reduced(source, target, self.blocks)
+
     @property
     def p(self) -> int:
         return self.source.algebra.p
@@ -176,31 +200,27 @@ class RepMap:
         """self after other."""
         if other.target is not self.source and not other.target.equal(self.source):
             raise ValueError("composition mismatch")
-        return RepMap(
+        p = self.p
+        return RepMap._reduced(
             other.source,
             self.target,
-            tuple(
-                matmul(self.blocks[i], other.blocks[i], self.p)
-                for i in range(len(self.blocks))
-            ),
-            check=False,
+            tuple(matmul(a, b, p) for a, b in zip(self.blocks, other.blocks)),
         )
 
     def __add__(self, other: "RepMap") -> "RepMap":
-        return RepMap(
+        if other.source.dims != self.source.dims or other.target.dims != self.target.dims:
+            raise ValueError("sum of maps between modules of other dims")
+        p = self.p
+        return RepMap._reduced(
             self.source,
             self.target,
-            tuple((a + b) % self.p for a, b in zip(self.blocks, other.blocks)),
-            check=False,
+            tuple((a + b) % p for a, b in zip(self.blocks, other.blocks)),
         )
 
     def scale(self, c: int) -> "RepMap":
-        return RepMap(
-            self.source,
-            self.target,
-            tuple((c * b) % self.p for b in self.blocks),
-            check=False,
-        )
+        p = self.p
+        c = int(c) % p
+        return RepMap._reduced(self.source, self.target, tuple(c * b % p for b in self.blocks))
 
     def __sub__(self, other: "RepMap") -> "RepMap":
         return self + other.scale(self.p - 1)
@@ -242,7 +262,7 @@ class RepMap:
 
 
 def identity_map(m: Rep) -> RepMap:
-    return RepMap(m, m, tuple(linalg.eye(d) for d in m.dims), check=False)
+    return RepMap._reduced(m, m, tuple(linalg.eye(d) for d in m.dims))
 
 
 def zero_map(src: Rep, tgt: Rep) -> RepMap:
@@ -279,6 +299,10 @@ class HomSpace:
     with a fixed map come from the matrix, one product per vertex: `after`
     and `before` give them as flattened columns, which `coords_of` of the
     space they land in reads.
+
+    A space rebound from the memo onto a caller's modules (`_hom_on`) keeps
+    the space it was rebound from as `_kept` and reads that space's `_rows`
+    and `_starts`, so each is worked out once per content pair.
     """
 
     source: Rep
@@ -306,6 +330,9 @@ class HomSpace:
     @functools.cached_property
     def _rows(self) -> np.ndarray:
         """The free position of each basis map: its last nonzero entry."""
+        kept = self.__dict__.get("_kept")
+        if kept is not None:
+            return kept._rows
         a = self.flat_matrix
         if not a.size:
             return np.zeros(0, dtype=np.intp)
@@ -318,6 +345,9 @@ class HomSpace:
     def _starts(self) -> list:
         """The row of flat_matrix where the blocks of each vertex start, and
         the row count last."""
+        kept = self.__dict__.get("_kept")
+        if kept is not None:
+            return kept._starts
         sizes = (t * s for t, s in zip(self.target.dims, self.source.dims))
         return list(itertools.accumulate(sizes, initial=0))
 
@@ -376,11 +406,15 @@ class HomSpace:
 
 def _hom_on(hs: HomSpace, m: Rep, n: Rep) -> HomSpace:
     """hs, a Hom space between modules of the contents of m and n, as
-    Hom(m, n): the same matrix.  Contents name no algebra, so a kept space
-    is never handed to modules over two algebras."""
+    Hom(m, n): the same matrix, and the free positions and vertex offsets
+    hs works out once (`_rows`, `_starts`, read through `_kept`).  Contents
+    name no algebra, so a kept space is never handed to modules over two
+    algebras."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules live over different algebras")
-    return HomSpace(m, n, hs.flat_matrix)
+    out = HomSpace(m, n, hs.flat_matrix)
+    out._kept = hs
+    return out
 
 
 def _normal_form(spanning: np.ndarray, p: int) -> np.ndarray:
@@ -474,9 +508,7 @@ def record_split(m: Rep, make, lazy: bool = False) -> None:
         anchored = []
         for x, i, q in parts:
             x = private(x)
-            anchored.append(
-                (x, RepMap(x, own, i.blocks, check=False), RepMap(own, x, q.blocks, check=False))
-            )
+            anchored.append((x, i.reanchored(x, own), q.reanchored(own, x)))
         return tuple(anchored)
 
     remember(m.algebra, key_of(_SPLIT, m), checked, lazy=lazy)
@@ -1110,8 +1142,8 @@ def _summands_on(groups: list, m: Rep, seed: int) -> list:
     out = []
     for g in groups:
         pieces = [m if incl.source is own else incl.source for incl in g.inclusions]
-        incls = [RepMap(x, m, i.blocks, check=False) for x, i in zip(pieces, g.inclusions)]
-        projs = [RepMap(m, x, q.blocks, check=False) for x, q in zip(pieces, g.projections)]
+        incls = [i.reanchored(x, m) for x, i in zip(pieces, g.inclusions)]
+        projs = [q.reanchored(m, x) for x, q in zip(pieces, g.projections)]
         out.append(Summand(pieces[0], g.multiplicity, incls, projs))
     return out
 
@@ -1153,7 +1185,7 @@ def iso(m: Rep, n: Rep, seed: int = DEFAULT_SEED):
     return _iso(m, n, seed)
 
 
-@memoized(rebind=lambda f, m, n, seed: None if f is None else RepMap(m, n, f.blocks, check=False))
+@memoized(rebind=lambda f, m, n, seed: None if f is None else f.reanchored(m, n))
 def _iso(m: Rep, n: Rep, seed: int):
     hs = hom_basis(m, n)
     if hs.dim == 0:

@@ -221,3 +221,14 @@ def test_first_unit_outside_span_examples():
     assert linalg.first_unit_outside_span(np.eye(3, dtype=np.int64), P) is None
     assert np.array_equal(linalg.first_unit_outside_span(linalg.zeros(2, 0), P), [1, 0])
     assert linalg.first_unit_outside_span(linalg.zeros(0, 0), P) is None
+
+
+def test_as_matrix_refuses_entries_that_are_not_integers():
+    # 1.5 used to become 1, NaN 6 mod 7 and 1e30 a wrapped int64
+    for bad in ([[1.5]], [[np.nan]], [[np.inf]], [[-np.inf]], [[1e30]]):
+        with pytest.raises(ValueError, match="integers"):
+            linalg.as_matrix(bad, 7)
+    # integral floats are entries like any other
+    assert np.array_equal(linalg.as_matrix(np.eye(2), 7), linalg.eye(2))
+    assert linalg.as_matrix([[-1.0, 8.0]], 7).tolist() == [[6, 1]]
+    assert linalg.as_matrix([], 7).shape == (0, 1)

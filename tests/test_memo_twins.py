@@ -104,9 +104,10 @@ def test_twins_share_the_answer_bit_for_bit(modules):
     for m in modules:
         for n in modules:
             if m.algebra is n.algebra:
-                hom_basis(m, n)
-                pair = _fresh(m), _fresh(n)
-                assert _content(hom_basis(*pair)) == _content(hom_basis.__wrapped__(*pair))
+                for fn in (hom_basis, ext1):
+                    fn(m, n)
+                    pair = _fresh(m), _fresh(n)
+                    assert _content(fn(*pair)) == _content(fn.__wrapped__(*pair)), fn.__name__
 
 
 def test_twin_answers_point_at_the_callers_module(modules):

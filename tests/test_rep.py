@@ -93,6 +93,16 @@ def test_module_and_map_arrays_are_read_only(alg_a2, p1):
     assert m.maps["a"][0, 0] == 1 and f.block(1)[0, 0] == 1
 
 
+def test_modules_and_maps_refuse_entries_that_are_not_integers(alg_a2, p1):
+    with pytest.raises(ValueError, match="integers"):
+        Rep(alg_a2, (1, 1), {"a": [[1.5]]})
+    with pytest.raises(ValueError, match="integers"):
+        Rep(alg_a2, (1, 1), {"a": [[np.nan]]})
+    with pytest.raises(ValueError, match="integers"):
+        RepMap(p1, p1, ([[0.5]], [[0.5]]))
+    assert Rep(alg_a2, (1, 1), {"a": np.eye(1)}).content_key == p1.content_key
+
+
 def test_hom_coords_roundtrip(alg_a2, p1):
     hs = hom_basis(p1, p1)
     f = identity_map(p1).scale(7)
