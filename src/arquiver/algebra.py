@@ -1,9 +1,9 @@
 """Bound quiver algebras: quiver data, admissible relations, path basis.
 
 A path is stored as (source_vertex, arrows) with the arrows listed in
-application order (first arrow applied first).  Algebra multiplication is
-written right to left: mul(x, y) applies y first, then x, so concatenating
-arrow tuples is y.arrows + x.arrows.
+application order (first arrow applied first).  The product that applies
+a path q first and then a path r is the path whose arrows are q's followed
+by r's, put in normal form by `Algebra.reduce_path`.
 
 The path basis of Lambda = kQ/I is computed by breadth-first path
 enumeration with linear reduction modulo a spanning set of the relation
@@ -303,24 +303,6 @@ class Algebra:
             return {}
         return dict(self._normal[path])
 
-    def mul(self, x: dict, y: dict) -> dict:
-        """Product x*y: apply y first, then x.  Elements are {basis path: coeff}."""
-        out: dict[Path, int] = {}
-        for (sx, ax), cx in x.items():
-            for (sy, ay), cy in y.items():
-                if path_target(self.quiver, (sy, ay)) != sx:
-                    continue
-                coeff = (cx * cy) % self.p
-                if not coeff:
-                    continue
-                for q, c in self.reduce_path((sy, ay + ax)).items():
-                    out[q] = (out.get(q, 0) + coeff * c) % self.p
-        return {q: c for q, c in out.items() if c}
-
-    def arrow_element(self, name: str) -> dict:
-        a = self.quiver.by_name[name]
-        return dict(self.reduce_path((a.source, (name,))))
-
     # -- opposite algebra ----------------------------------------------
 
     def opposite(self) -> "Algebra":
@@ -333,16 +315,6 @@ class Algebra:
             op._op = self
             self._op = op
         return self._op
-
-    def reverse_element(self, x: dict) -> dict:
-        """Image of x under the anti-isomorphism Lambda -> Lambda^op."""
-        op = self.opposite()
-        out: dict[Path, int] = {}
-        for (src, arrows), c in x.items():
-            rev: Path = (path_target(self.quiver, (src, arrows)), tuple(reversed(arrows)))
-            for q, d in op.reduce_path(rev).items():
-                out[q] = (out.get(q, 0) + c * d) % self.p
-        return {q: c for q, c in out.items() if c}
 
     def same_presentation(self, other: "Algebra") -> bool:
         return (

@@ -3,9 +3,13 @@ the transpose, the Nakayama functor, DTr/TrD and Ext^1 with realization.
 
 Projective left modules are the Lambda e_v; Hom(Lambda e_w, Lambda e_v) is
 identified with the span of basis paths v -> w acting by right
-multiplication.  Maps between sums of projectives are therefore stored as
-matrices of algebra elements (PathCoeffMap), which is what makes the
-transpose and the Nakayama functor computable by reversing paths.
+multiplication.  A map between sums of projectives is a RepMap like any
+other, and is fixed by where it sends the summands' generators
+(`from_generators`): the generator column of summand j holds the
+coefficients of the paths from each target summand's vertex to w_j.
+Reversing those paths (`_reversal`) gives Hom(d, Lambda) over the
+opposite algebra (`star`), which makes the transpose and the Nakayama
+functor computable.
 
 Ext^1(M, N) is Hom(Omega M, N) modulo the restrictions of Hom(P0, N), kept
 as a rep.HomQuotient (`ExtSpace.classes`).
@@ -13,12 +17,13 @@ as a rep.HomQuotient (`ExtSpace.classes`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .algebra import Algebra, Path, path_target
+from .algebra import Algebra
 from .linalg import matmul
 from .memo import memoized
 from .rep import (
@@ -105,114 +110,99 @@ def _inj_sum_rep(alg: Algebra, vertices: tuple) -> Rep:
 
 @dataclass(eq=False)
 class ProjSum:
-    """A finite direct sum of indecomposable projectives with a fixed layout.
+    """A finite direct sum of indecomposable projectives: the shared module
+    `_proj_sum_rep(algebra, vertices)`.
 
-    At each vertex the basis is the concatenation, summand by summand, of
-    the reduced paths from that summand's vertex.
+    At each vertex its basis is the concatenation, summand by summand, of
+    the reduced paths from that summand's vertex; the generator of a
+    summand is the first of them at its own vertex (the trivial path
+    sorts first).
     """
 
     algebra: Algebra
     vertices: tuple
 
     def __post_init__(self):
-        alg = self.algebra
         self.vertices = tuple(int(v) for v in self.vertices)
-        n = alg.quiver.n
-        self._offsets = [[0] * len(self.vertices) for _ in range(n)]
-        dims = [0] * n
-        for j, w in enumerate(self.vertices):
-            for u in range(1, n + 1):
-                self._offsets[u - 1][j] = dims[u - 1]
-                dims[u - 1] += len(alg.basis_paths(w, u))
-        self.rep = _proj_sum_rep(alg, self.vertices)
-
-    @property
-    def count(self) -> int:
-        return len(self.vertices)
-
-    def offset(self, j: int, u: int) -> int:
-        return self._offsets[u - 1][j]
-
-    def gen_column(self, j: int) -> int:
-        """Column of the generator (trivial path) of summand j at its vertex."""
-        w = self.vertices[j]
-        paths = self.algebra.basis_paths(w, w)
-        return self.offset(j, w) + paths.index((w, ()))
+        self.rep = _proj_sum_rep(self.algebra, self.vertices)
 
     def __repr__(self):
         return f"ProjSum{self.vertices}"
 
 
-@dataclass(eq=False)
-class PathCoeffMap:
-    """A map between projective sums as a matrix of algebra elements.
+def from_generators(vertices: tuple, n: Rep, images: list) -> RepMap:
+    """The map from _proj_sum_rep(alg, vertices) into n that sends the
+    generator of summand j to images[j], a vector of n at vertices[j]:
+    the basis path q of that summand goes to n(q) . images[j].  Checked
+    (`RepMap(..., check=True)`)."""
+    alg, p = n.algebra, n.p
+    blocks = []
+    for u in range(1, alg.quiver.n + 1):
+        cols = []
+        for w, x in zip(vertices, images):
+            for _, arrows in alg.basis_paths(w, u):
+                y = x
+                for name in arrows:
+                    y = matmul(n.maps[name], y, p)
+                cols.append(y)
+        blocks.append(np.stack(cols, axis=1) if cols else linalg.zeros(n.dim_at(u), 0))
+    return RepMap(_proj_sum_rep(alg, vertices), n, tuple(blocks), check=True)
 
-    entries[i][j] is an element supported on paths target.vertices[i] ->
-    source.vertices[j]; the component P(w_j) -> P(v_i) is right
-    multiplication by it.
-    """
 
-    source: ProjSum
-    target: ProjSum
-    entries: list
+def _starts(alg: Algebra, vertices: tuple, u: int) -> list:
+    """Where each summand's basis starts at vertex u in
+    _proj_sum_rep(alg, vertices), and the dimension there last."""
+    sizes = (len(alg.basis_paths(w, u)) for w in vertices)
+    return list(itertools.accumulate(sizes, initial=0))
 
-    def __post_init__(self):
-        alg = self.source.algebra
-        if self.target.algebra is not alg:
-            raise ValueError("path-coefficient map across different algebras")
-        for i in range(self.target.count):
-            for j in range(self.source.count):
-                for (s, arrows) in self.entries[i][j]:
-                    if s != self.target.vertices[i]:
-                        raise ValueError("entry path starts at the wrong vertex")
-                    if (
-                        path_target(alg.quiver, (s, arrows))
-                        != self.source.vertices[j]
-                    ):
-                        raise ValueError("entry path ends at the wrong vertex")
 
-    def to_repmap(self) -> RepMap:
-        alg = self.source.algebra
-        p = alg.p
-        blocks = []
-        for u in range(1, alg.quiver.n + 1):
-            m = linalg.zeros(self.target.rep.dim_at(u), self.source.rep.dim_at(u))
-            for j, w in enumerate(self.source.vertices):
-                for qi, q in enumerate(alg.basis_paths(w, u)):
-                    col = self.source.offset(j, u) + qi
-                    for i, v in enumerate(self.target.vertices):
-                        rows = {
-                            r: ri for ri, r in enumerate(alg.basis_paths(v, u))
-                        }
-                        for (xs, xarrows), c in self.entries[i][j].items():
-                            combined: Path = (xs, xarrows + q[1])
-                            for r, d in alg.reduce_path(combined).items():
-                                ri = self.target.offset(i, u) + rows[r]
-                                m[ri, col] = (m[ri, col] + c * d) % p
-            blocks.append(m)
-        return RepMap(self.source.rep, self.target.rep, tuple(blocks), check=True)
+@memoized
+def _reversal(alg: Algebra, v: int, w: int) -> np.ndarray:
+    """The anti-isomorphism Lambda -> Lambda^op on the paths v -> w, as a
+    matrix from coefficients over alg.basis_paths(v, w) to coefficients
+    over the opposite algebra's basis paths w -> v; memoized on the
+    algebra."""
+    op = alg.opposite()
+    row = {q: i for i, q in enumerate(op.basis_paths(w, v))}
+    paths = alg.basis_paths(v, w)
+    r = linalg.zeros(len(row), len(paths))
+    for k, (_, arrows) in enumerate(paths):
+        for q, c in op.reduce_path((w, arrows[::-1])).items():
+            r[row[q], k] = c
+    r.setflags(write=False)
+    return r
 
-    def star(self) -> "PathCoeffMap":
-        """Hom(-, Lambda): a path-coefficient map between opposite projectives,
-        with source and target swapped and every entry reversed."""
-        alg = self.source.algebra
-        op_src = ProjSum(alg.opposite(), self.target.vertices)
-        op_tgt = ProjSum(alg.opposite(), self.source.vertices)
-        entries = [
-            [alg.reverse_element(self.entries[i][j]) for i in range(self.target.count)]
-            for j in range(self.source.count)
+
+def star(d: RepMap, src: tuple, tgt: tuple) -> RepMap:
+    """Hom(d, Lambda) for d between the sums of projectives at the vertex
+    tuples src and tgt: the map between the opposite algebra's sums at tgt
+    and at src.  Generator column j of d holds the coefficients of the
+    paths tgt[i] -> src[j]; reversed (`_reversal`), they are the image of
+    generator i in summand j."""
+    alg, p = d.source.algebra, d.p
+    columns = [
+        (w, d.block(w)[:, _starts(alg, src, w)[j]], _starts(alg, tgt, w))
+        for j, w in enumerate(src)
+    ]
+    images = []
+    for i, v in enumerate(tgt):
+        parts = [
+            matmul(_reversal(alg, v, w), col[at[i] : at[i + 1]], p)
+            for w, col, at in columns
         ]
-        return PathCoeffMap(op_src, op_tgt, entries)
+        images.append(np.concatenate(parts) if parts else linalg.zeros(0, 1)[:, 0])
+    op = alg.opposite()
+    return from_generators(tgt, _proj_sum_rep(op, src), images)
 
 
-def nakayama_of_projmap(d: PathCoeffMap) -> RepMap:
-    """nu on morphisms: dualize the starred map.  Covariant.  nu(P_w) is
-    I_w, so the map runs between the shared sums of injectives
-    (`_inj_sum_rep`), whose Hom spaces are read off their summands."""
+def nakayama_of_projmap(d: RepMap, src: tuple, tgt: tuple) -> RepMap:
+    """nu on morphisms: dualize the starred map (`star`).  Covariant.
+    nu(P_w) is I_w, so the map runs between the shared sums of injectives
+    at src and tgt (`_inj_sum_rep`), whose Hom spaces are read off their
+    summands."""
     alg = d.source.algebra
-    blocks = tuple(b.T.copy() for b in d.star().to_repmap().blocks)
-    source, target = (_inj_sum_rep(alg, ps.vertices) for ps in (d.source, d.target))
-    return RepMap(source, target, blocks, check=False)
+    blocks = tuple(b.T.copy() for b in star(d, src, tgt).blocks)
+    return RepMap(_inj_sum_rep(alg, src), _inj_sum_rep(alg, tgt), blocks, check=False)
 
 
 # -- radical and top --------------------------------------------------------
@@ -263,26 +253,9 @@ def projective_cover(m: Rep) -> tuple:
     Memoized (memo.memoized) by content: covers are requested repeatedly
     by the stable and approximation layers.
     """
-    alg = m.algebra
     gens = top_generators(m)
-    ps = ProjSum(alg, tuple(u for u, _ in gens))
-    blocks = []
-    for t in range(1, alg.quiver.n + 1):
-        cols = []
-        for (u, gi) in gens:
-            for q in alg.basis_paths(u, t):
-                if not q[1]:
-                    e = linalg.zeros(m.dim_at(t), 1)[:, 0]
-                    e[gi] = 1
-                    cols.append(e)
-                else:
-                    cols.append(m.evaluate_arrows(q[1])[:, gi] % m.p)
-        blocks.append(
-            np.stack(cols, axis=1)
-            if cols
-            else linalg.zeros(m.dim_at(t), 0)
-        )
-    aug = RepMap(ps.rep, m, tuple(blocks), check=True)
+    ps = ProjSum(m.algebra, tuple(u for u, _ in gens))
+    aug = from_generators(ps.vertices, m, [linalg.eye(m.dim_at(u))[gi] for u, gi in gens])
     if not aug.is_surjective():
         raise RuntimeError("projective cover failed to surject")
     return ps, aug
@@ -317,30 +290,8 @@ class InjSum:
     vertices: tuple
     rep: Rep
 
-    @property
-    def count(self) -> int:
-        return len(self.vertices)
-
     def __repr__(self):
         return f"InjSum{self.vertices}"
-
-
-def _projmap_to_pathcoeff(src: ProjSum, tgt: ProjSum, f: RepMap) -> PathCoeffMap:
-    """Read off path coefficients of a module map between projective sums."""
-    alg = src.algebra
-    entries = []
-    for i, v in enumerate(tgt.vertices):
-        row = []
-        for j, w in enumerate(src.vertices):
-            vec = f.block(w)[:, src.gen_column(j)]
-            elem = {}
-            for r_paths_i, q in enumerate(alg.basis_paths(v, w)):
-                c = int(vec[tgt.offset(i, w) + r_paths_i]) % alg.p
-                if c:
-                    elem[q] = c
-            row.append(elem)
-        entries.append(row)
-    return PathCoeffMap(src, tgt, entries)
 
 
 @dataclass(eq=False)
@@ -351,8 +302,7 @@ class Presentation:
     p0: ProjSum
     aug: RepMap  # P0 -> M
     p1: ProjSum
-    d1: PathCoeffMap
-    d1_rep: RepMap  # P1 -> P0
+    d1: RepMap  # P1 -> P0
     omega: Rep  # image of d1 = kernel of aug
     omega_incl: RepMap  # omega -> P0
 
@@ -362,7 +312,7 @@ def _presentation_on(pres: Presentation, m: Rep) -> Presentation:
     the syzygy shared, the augmentation re-targeted."""
     aug = pres.aug.reanchored(pres.aug.source, m)
     return Presentation(
-        m, pres.p0, aug, pres.p1, pres.d1, pres.d1_rep, pres.omega, pres.omega_incl
+        m, pres.p0, aug, pres.p1, pres.d1, pres.omega, pres.omega_incl
     )
 
 
@@ -372,23 +322,16 @@ def min_presentation(m: Rep) -> Presentation:
     p0, aug = projective_cover(m)
     k, incl = kernel_of(aug)
     p1, c = projective_cover(k)
-    d1_rep = incl.compose(c)
-    d1 = _projmap_to_pathcoeff(p1, p0, d1_rep)
-    if not d1.to_repmap().equal(d1_rep):
-        raise RuntimeError("path-coefficient reconstruction disagrees")
-    omega, omega_incl = image_of(d1_rep)
-    return Presentation(m, p0, aug, p1, d1, d1_rep, omega, omega_incl)
+    d1 = incl.compose(c)
+    omega, omega_incl = image_of(d1)
+    return Presentation(m, p0, aug, p1, d1, omega, omega_incl)
 
 
 def second_step(pres: Presentation) -> tuple:
-    """P2 and d2: P2 -> P1 with image = kernel of d1 (one more syzygy)."""
-    k, incl = kernel_of(pres.d1_rep)
+    """(P2, d2: P2 -> P1) with image = kernel of d1 (one more syzygy)."""
+    k, incl = kernel_of(pres.d1)
     p2, c = projective_cover(k)
-    d2_rep = incl.compose(c)
-    d2 = _projmap_to_pathcoeff(p2, pres.p1, d2_rep)
-    if not d2.to_repmap().equal(d2_rep):
-        raise RuntimeError("path-coefficient reconstruction disagrees")
-    return p2, d2, d2_rep
+    return p2, incl.compose(c)
 
 
 # -- transpose and the translates ------------------------------------------
@@ -397,7 +340,7 @@ def second_step(pres: Presentation) -> tuple:
 def transpose(m: Rep) -> Rep:
     """Tr M = coker(Hom(d1, Lambda)) over the opposite algebra."""
     pres = min_presentation(m)
-    tr, _ = cokernel_of(pres.d1.star().to_repmap())
+    tr, _ = cokernel_of(star(pres.d1, pres.p1.vertices, pres.p0.vertices))
     return tr
 
 
@@ -422,7 +365,7 @@ def dtr_data(m: Rep) -> DtrData:
     (memo.memoized) by content: modules equal entry for entry share one
     DTr M."""
     pres = min_presentation(m)
-    nu_d1 = nakayama_of_projmap(pres.d1)
+    nu_d1 = nakayama_of_projmap(pres.d1, pres.p1.vertices, pres.p0.vertices)
     ker, incl = kernel_of(nu_d1)
     return DtrData(m, pres, nu_d1, ker, incl)
 
@@ -649,19 +592,14 @@ def random_module(alg: Algebra, rng, max_summands: int = 2) -> Rep:
     src_vs = tuple(
         rng.randrange(1, n + 1) for _ in range(rng.randint(0, max_summands))
     )
-    tgt = ProjSum(alg, tgt_vs)
-    src = ProjSum(alg, src_vs)
-    entries = []
-    for i, v in enumerate(tgt_vs):
-        row = []
-        for j, w in enumerate(src_vs):
-            elem = {}
-            for q in alg.basis_paths(v, w):
-                c = rng.randrange(alg.p)
-                if c:
-                    elem[q] = c
-            row.append(elem)
-        entries.append(row)
-    f = PathCoeffMap(src, tgt, entries)
-    cok, _ = cokernel_of(f.to_repmap())
+    coeffs = [
+        [[rng.randrange(alg.p) for _ in alg.basis_paths(v, w)] for w in src_vs]
+        for v in tgt_vs
+    ]
+    images = [
+        np.array([c for row in coeffs for c in row[j]], dtype=np.int64)
+        for j in range(len(src_vs))
+    ]
+    f = from_generators(src_vs, _proj_sum_rep(alg, tgt_vs), images)
+    cok, _ = cokernel_of(f)
     return cok

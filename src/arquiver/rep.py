@@ -275,13 +275,17 @@ def zero_map(src: Rep, tgt: Rep) -> RepMap:
 
 
 def map_from_flat(src: Rep, tgt: Rep, flat: np.ndarray) -> RepMap:
+    """The map whose blocks, flattened row-major in vertex order, are flat
+    (`RepMap.flatten`).  flat must be reduced mod p, as a HomSpace's
+    normal-form matrix and a `matmul` are: the blocks are reshaped views
+    of it, taken as they are (`RepMap._reduced`)."""
     blocks = []
     pos = 0
     for i in range(len(src.dims)):
         r, c = tgt.dims[i], src.dims[i]
         blocks.append(np.asarray(flat[pos : pos + r * c], dtype=np.int64).reshape(r, c))
         pos += r * c
-    return RepMap(src, tgt, tuple(blocks), check=False)
+    return RepMap._reduced(src, tgt, tuple(blocks))
 
 
 @dataclass(eq=False)

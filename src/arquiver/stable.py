@@ -76,8 +76,8 @@ class ErrorTermData:
 def error_term_data(m: Rep, data: DtrData | None = None) -> ErrorTermData:
     if data is None:
         data = dtr_data(m)
-    p2, d2, _ = second_step(data.pres)
-    nu_d2 = nakayama_of_projmap(d2)
+    p2, d2 = second_step(data.pres)
+    nu_d2 = nakayama_of_projmap(d2, p2.vertices, data.pres.p1.vertices)
     j1 = data.incl
     p = m.p
     blocks = []
@@ -279,8 +279,8 @@ def check_exactness_DP(u: Rep, m: Rep) -> bool:
     if not is_injective_module(u):
         raise ValueError("U is not an injective module")
     data = dtr_data(m)
-    p2, d2, _ = second_step(data.pres)
-    nu_d2 = nakayama_of_projmap(d2)
+    p2, d2 = second_step(data.pres)
+    nu_d2 = nakayama_of_projmap(d2, p2.vertices, data.pres.p1.vertices)
     nu_d1 = data.nu_d1
     p = m.p
     h2 = hom_basis(u, nu_d2.source)

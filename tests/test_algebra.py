@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from arquiver.algebra import (
@@ -6,7 +7,10 @@ from arquiver.algebra import (
     NotFiniteDimensional,
     Quiver,
     Relation,
+    path_target,
 )
+from arquiver.homological import _reversal
+from arquiver.linalg import DEFAULT_PRIME
 
 
 def test_a2_dimension_and_basis(alg_a2):
@@ -25,8 +29,8 @@ def test_kronecker_dimension(alg_kronecker):
 def test_loop_algebra_dimension(alg_loop):
     # basis {e, x}: x^2 = 0
     assert alg_loop.dim == 2
-    x = alg_loop.arrow_element("x")
-    assert alg_loop.mul(x, x) == {}
+    assert alg_loop.basis_paths(1, 1) == [(1, ()), (1, ("x",))]
+    assert alg_loop.reduce_path((1, ("x", "x"))) == {}
 
 
 def test_a3_dimension(alg_a3):
@@ -44,20 +48,20 @@ def test_hereditary_dim_matches_path_enumeration():
 
 
 def test_multiplication_right_to_left(alg_a3):
-    a = alg_a3.arrow_element("a")
-    b = alg_a3.arrow_element("b")
-    # b*a applies a first, then b: the length-2 path 1 -> 3
-    assert alg_a3.mul(b, a) == {(1, ("a", "b")): 1}
-    assert alg_a3.mul(a, b) == {}
+    # a then b is the length-2 path 1 -> 3; b then a is no path
+    assert alg_a3.reduce_path((1, ("a", "b"))) == {(1, ("a", "b")): 1}
+    assert path_target(alg_a3.quiver, (1, ("a", "b"))) == 3
+    with pytest.raises(MalformedRelation):
+        path_target(alg_a3.quiver, (2, ("b", "a")))
 
 
 def test_vertex_idempotents(alg_a2):
-    e1, e2 = {(1, ()): 1}, {(2, ()): 1}  # the trivial paths at 1 and 2
-    a = alg_a2.arrow_element("a")
-    assert alg_a2.mul(e1, e1) == e1
-    assert alg_a2.mul(e2, a) == a
-    assert alg_a2.mul(a, e1) == a
-    assert alg_a2.mul(e1, a) == {}
+    # the trivial paths are basis paths, each its own normal form
+    for v in (1, 2):
+        assert alg_a2.basis_paths(v, v)[0] == (v, ())
+        assert alg_a2.reduce_path((v, ())) == {(v, ()): 1}
+    assert alg_a2.reduce_path((1, ("a",))) == {(1, ("a",)): 1}
+    assert alg_a2.basis_paths(2, 1) == []
 
 
 def test_opposite_involution(alg_a2, alg_kronecker, alg_loop):
@@ -77,13 +81,28 @@ def test_opposite_kronecker(alg_kronecker):
     assert all(a.source == 2 and a.target == 1 for a in op.quiver.arrows)
 
 
-def test_reverse_element_antimultiplicative(alg_a3):
-    a = alg_a3.arrow_element("a")
-    b = alg_a3.arrow_element("b")
-    op = alg_a3.opposite()
-    lhs = alg_a3.reverse_element(alg_a3.mul(b, a))
-    rhs = op.mul(op.arrow_element("a"), op.arrow_element("b"))
-    assert lhs == rhs
+def _vector(paths, elem):
+    return np.array([elem.get(q, 0) for q in paths], dtype=np.int64)
+
+
+def test_reversal_antimultiplicative(alg_a3, alg_loop):
+    # the reversal of q-then-r is reversed-r-then-reversed-q over the opposite
+    cube = Algebra(Quiver(1, [("x", 1, 1)]), [Relation([(1, ("x", "x", "x"))])])
+    for alg in (alg_a3, alg_loop, cube, _square()):
+        op = alg.opposite()
+        seen = 0
+        for v, q in alg.basis:
+            u = path_target(alg.quiver, (v, q))
+            for s, r in alg.basis:
+                if s != u:
+                    continue
+                w = path_target(alg.quiver, (s, r))
+                product = _vector(alg.basis_paths(v, w), alg.reduce_path((v, q + r)))
+                reversed_ = _reversal(alg, v, w) @ product % alg.p
+                want = op.reduce_path((w, r[::-1] + q[::-1]))
+                assert reversed_.tolist() == _vector(op.basis_paths(w, v), want).tolist()
+                seen += 1
+        assert seen >= alg.dim
 
 
 def test_non_admissible_rejected():
@@ -106,21 +125,23 @@ def test_non_uniform_relation_rejected():
 def test_loop_cube_relation():
     alg = Algebra(Quiver(1, [("x", 1, 1)]), [Relation([(1, ("x", "x", "x"))])])
     assert alg.dim == 3
-    x = alg.arrow_element("x")
-    x2 = alg.mul(x, x)
-    assert x2 == {(1, ("x", "x")): 1}
-    assert alg.mul(x, x2) == {}
+    assert alg.reduce_path((1, ("x", "x"))) == {(1, ("x", "x")): 1}
+    assert alg.reduce_path((1, ("x", "x", "x"))) == {}
+
+
+def _square(p: int = DEFAULT_PRIME) -> Algebra:
+    # 1 -a-> 2 -c-> 4, 1 -b-> 3 -d-> 4 with ca = db
+    q = Quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)])
+    return Algebra(q, [Relation([(1, ("a", "c")), (-1, ("b", "d"))])], p)
 
 
 def test_commutative_square_relation():
-    # 1 -a-> 2 -c-> 4, 1 -b-> 3 -d-> 4 with ca = db
-    q = Quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4)])
-    alg = Algebra(q, [Relation([(1, ("a", "c")), (-1, ("b", "d"))])])
+    alg = _square()
     # 4 trivial + 4 arrows + one length-2 class
     assert alg.dim == 9
-    a, b = alg.arrow_element("a"), alg.arrow_element("b")
-    c, d = alg.arrow_element("c"), alg.arrow_element("d")
-    assert alg.mul(c, a) == alg.mul(d, b)
+    assert len(alg.basis_paths(1, 4)) == 1
+    assert alg.reduce_path((1, ("a", "c"))) == alg.reduce_path((1, ("b", "d")))
+    assert alg.reduce_path((1, ("a", "c"))) != {}
 
 
 def test_relation_coefficients_mod_p():

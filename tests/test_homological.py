@@ -7,13 +7,13 @@ from arquiver import homological, linalg
 from arquiver.arseq import is_split_epi
 from arquiver.homological import (
     NotExact,
-    PathCoeffMap,
     ProjSum,
     SES,
     ar_extension,
     dtr,
     dtr_data,
     ext1,
+    from_generators,
     inj,
     injective_envelope,
     min_presentation,
@@ -22,6 +22,7 @@ from arquiver.homological import (
     radical_subspaces,
     random_module,
     second_step,
+    star,
     transpose,
     trd,
 )
@@ -107,8 +108,10 @@ def test_min_presentation_s1(alg_a2):
     assert pres.p0.vertices == (1,)
     assert pres.p1.vertices == (2,)
     assert pres.omega.dims == (0, 1)
-    # the single entry is the arrow path 1 -> 2
-    assert pres.d1.entries[0][0] == {(1, ("a",)): 1}
+    # the generator of P2 goes to the arrow path 1 -> 2, the only basis
+    # path of P1 at vertex 2
+    assert alg_a2.basis_paths(1, 2) == [(1, ("a",))]
+    assert pres.d1.block(2)[:, 0].tolist() == [1]
 
 
 def test_min_presentation_projective(alg_a2):
@@ -145,22 +148,27 @@ def test_one_projective_sum_per_vertex_tuple(alg_kronecker):
     assert min_presentation(m).p1.rep is min_presentation(n).p1.rep
 
 
-def test_pathcoeffmap_roundtrip(alg_a3):
+def test_star_of_a_map_between_projective_sums(alg_a3):
     ps1 = ProjSum(alg_a3, (3,))
     ps0 = ProjSum(alg_a3, (1,))
-    f = PathCoeffMap(ps1, ps0, [[{(1, ("a", "b")): 4}]])
-    rm = f.to_repmap()
-    assert rm.source is ps1.rep and rm.target is ps0.rep
-    st = f.star()
-    assert st.source.vertices == (1,) and st.target.vertices == (3,)
-    st.to_repmap()  # must commute over the opposite algebra
+    # right multiplication by 4 ab: P3 -> P1
+    assert alg_a3.basis_paths(1, 3) == [(1, ("a", "b"))]
+    f = from_generators((3,), ps0.rep, [np.array([4])])
+    assert f.source is ps1.rep and f.target is ps0.rep
+    op = alg_a3.opposite()
+    st = star(f, (3,), (1,))  # checked: it commutes over the opposite algebra
+    assert st.source is ProjSum(op, (1,)).rep and st.target is ProjSum(op, (3,)).rep
+    # the generator of P1 over the opposite algebra goes to 4 (ba reversed)
+    assert op.basis_paths(3, 1) == [(3, ("b", "a"))]
+    assert st.block(1)[:, 0].tolist() == [4]
 
 
 def test_second_step_exactness(alg_loop):
     s = simple(alg_loop, 1)
     pres = min_presentation(s)
-    p2, d2, d2_rep = second_step(pres)
-    assert pres.d1_rep.compose(d2_rep).is_zero
+    p2, d2 = second_step(pres)
+    assert d2.source is p2.rep and d2.target is pres.p1.rep
+    assert pres.d1.compose(d2).is_zero
 
 
 def test_nakayama_sends_proj_to_inj(alg_a2, alg_kronecker):

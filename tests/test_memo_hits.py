@@ -2,7 +2,8 @@
 
 A map made without its constructor's copy of every block (re-anchored
 from the memo by `RepMap.reanchored`, or a composite, sum, multiple or
-identity, whose blocks are reduced by construction) must hold what the
+identity, or a map of a Hom space read off its normal-form matrix, whose
+blocks are reduced by construction) must hold what the
 checked constructor `RepMap(..., check=True)` makes of the same map: the
 same entries, int64 and read-only.  `homological.ext1` keeps each
 Ext^1(M, N) once per pair of contents on the algebra, and every caller of
@@ -27,6 +28,7 @@ from arquiver.homological import (
 from arquiver.memo import key_of
 from arquiver.rep import (
     AlgebraMismatch,
+    HomSpace,
     Rep,
     RepMap,
     decompose,
@@ -84,6 +86,35 @@ def test_composites_sums_multiples_and_identities_match_the_checked_maps(modules
                     _same_as_checked(f.scale(c), [c * b for b in f.blocks])
                 _same_as_checked(f + there[-1], [a + b for a, b in zip(f.blocks, there[-1].blocks)])
                 _same_as_checked(f - there[-1], [a - b for a, b in zip(f.blocks, there[-1].blocks)])
+    assert seen > 100
+
+
+def _flat_blocks(hs: HomSpace, flat) -> list:
+    """The blocks of the map flattened as flat, sliced out vertex by vertex."""
+    return [
+        flat[hs._starts[v - 1] : hs._starts[v]].reshape(hs.target.dim_at(v), hs.source.dim_at(v))
+        for v in range(1, len(hs.source.dims) + 1)
+    ]
+
+
+def test_hom_basis_maps_and_maps_from_coordinates_match_the_checked_maps(modules):
+    rng = random.Random(26)
+    seen = 0
+    for m in modules:
+        for n in modules:
+            if n.algebra is not m.algebra:
+                continue
+            hs = hom_basis(m, n)
+            alone = HomSpace(m, n, hs.flat_matrix)  # basis maps built one by one
+            for j in range(hs.dim):
+                want = _flat_blocks(hs, hs.flat_matrix[:, j])
+                _same_as_checked(alone.basis_map(j), want)
+                _same_as_checked(hs.basis[j], want)
+                seen += 1
+            coords = [rng.randrange(-P, 2 * P) for _ in range(hs.dim)]
+            # the combination, unreduced: the checked constructor reduces it
+            unreduced = hs.flat_matrix @ np.array(coords, dtype=np.int64)
+            _same_as_checked(hs.from_coords(coords), _flat_blocks(hs, unreduced))
     assert seen > 100
 
 

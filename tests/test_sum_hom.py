@@ -27,6 +27,7 @@ from arquiver.homological import (
     min_presentation,
     nakayama_of_projmap,
     proj,
+    star,
 )
 from arquiver.knit import enumerate_indec
 from arquiver.memo import key_of, kept
@@ -129,10 +130,11 @@ def test_nakayama_maps_run_between_the_shared_injective_sums():
     alg = corpus.a3(7)
     for m in (rep.simple(alg, 1), rep.simple(alg, 2), proj(alg, 1)):
         pres = min_presentation(m)
-        nu = nakayama_of_projmap(pres.d1)
+        src, tgt = pres.p1.vertices, pres.p0.vertices
+        nu = nakayama_of_projmap(pres.d1, src, tgt)
         assert nu.source is _inj_sum_rep(alg, pres.p1.vertices)
         assert nu.target is _inj_sum_rep(alg, pres.p0.vertices)
-        assert nu.equal(rep.dual_map(pres.d1.star().to_repmap()))
+        assert nu.equal(rep.dual_map(star(pres.d1, src, tgt)))
 
 
 def test_a_single_summand_is_solved(monkeypatch):
